@@ -18,8 +18,9 @@
 // read at an ancient position. The split is now 32/32, and feasibility is
 // *checked* rather than assumed:
 //
-//   * position is a switch index, bounded by (k+1) + k·⌈log_k 2^64⌉ for
-//     any execution of < 2^64 increments — under 2^31 whenever
+//   * position is a switch index, at most
+//     kmult_position_bound(k, 2^64 − 1) in any execution of < 2^64
+//     increments (the saturation argument below) — under 2^16 whenever
 //     k ≤ kMaxSupportedK. Counter constructors *reject* k beyond that
 //     bound (throw std::invalid_argument, in every build mode), making
 //     the packing loss-free by construction;
@@ -32,9 +33,12 @@
 //     witness the way shifted-out position bits or a wrapped sn would.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
+
+#include "base/kmath.hpp"
 
 namespace approx::core {
 
@@ -48,10 +52,38 @@ inline constexpr std::uint64_t kHelpSnMax =
 inline constexpr std::uint64_t kHelpPositionMax =
     (std::uint64_t{1} << (64 - kHelpSnBits)) - 1;
 
-/// Largest accuracy parameter k for which every reachable switch index
-/// and sequence number provably fits the packed layout (see header
-/// comment). Enforced by the counter constructors.
-inline constexpr std::uint64_t kMaxSupportedK = std::uint64_t{1} << 24;
+/// Largest accuracy parameter k the counters accept (enforced by their
+/// constructors). Every reachable switch index and sequence number then
+/// fits the packed layout with room to spare, and the contiguous switch
+/// array (kmult_switch_capacity) stays at most 2^15 + 1 bits. 2^12 keeps
+/// the paper's k ≥ √n precondition satisfiable for n ≤ 2^24 processes.
+inline constexpr std::uint64_t kMaxSupportedK = std::uint64_t{1} << 12;
+
+/// Saturation bound on the switch positions. Either k-multiplicative
+/// counter attempts its interval of weight k^q only once a process's
+/// batch lcounter equals its threshold limit = k^q, and lcounter counts
+/// that process's increments: in an execution of at most m ≥ 1
+/// increments q ≤ ⌊log_k m⌋, and at m = 2^64 − 1 one more power of k
+/// would saturate. The last switch of that interval, (⌊log_k m⌋ + 1)·k
+/// in the corrected layout (the faithful layout ends one interval
+/// lower), is therefore the last one any execution sets. The returned
+/// bound adds k+1 to it, which also covers the linear read's cursor:
+/// it jumps k−1 from an interval's first switch to its last, so it reads
+/// at most one switch past the last set one.
+[[nodiscard]] constexpr std::uint64_t kmult_position_bound(
+    std::uint64_t k, std::uint64_t m) noexcept {
+  return base::sat_add(k + 1, base::sat_mul(k, base::floor_log_k(k, m) + 1));
+}
+
+/// Number of switches a k-multiplicative counter allocates (2 ≤ k ≤
+/// kMaxSupportedK): every index either variant can touch in an execution
+/// of < 2^64 increments. Besides the positions under
+/// kmult_position_bound, read_fast's doubling probe can overshoot the
+/// last set switch up to the next power of two.
+[[nodiscard]] constexpr std::uint64_t kmult_switch_capacity(
+    std::uint64_t k) noexcept {
+  return std::bit_ceil(kmult_position_bound(k, base::kU64Max)) + 1;
+}
 
 /// Packs an announce (switch position, per-process sequence number).
 /// Both fields saturate at their maxima rather than wrapping/shifting
@@ -67,13 +99,19 @@ inline constexpr std::uint64_t kMaxSupportedK = std::uint64_t{1} << 24;
 }
 
 /// Constructor guard shared by the counters: rejects accuracy parameters
-/// outside the packing guarantee in every build mode.
-inline void check_help_pack_k(std::uint64_t k) {
+/// outside the packing and switch-capacity guarantees in every build
+/// mode. Returns k so constructors can check before allocating.
+inline std::uint64_t check_help_pack_k(std::uint64_t k) {
+  if (k < 2) {
+    throw std::invalid_argument(
+        "k-multiplicative counter: k must be at least 2");
+  }
   if (k > kMaxSupportedK) {
     throw std::invalid_argument(
         "k-multiplicative counter: k exceeds kMaxSupportedK (help-pair "
-        "packing guarantee, see core/help_pack.hpp)");
+        "packing and switch-capacity guarantee, see core/help_pack.hpp)");
   }
+  return k;
 }
 
 [[nodiscard]] constexpr std::uint64_t unpack_help_position(
@@ -91,5 +129,8 @@ static_assert(unpack_help_position(pack_help(kHelpPositionMax, kHelpSnMax)) ==
 static_assert(unpack_help_sn(pack_help(kHelpPositionMax, kHelpSnMax)) ==
               kHelpSnMax);
 static_assert(unpack_help_sn(pack_help(0, 0)) == 0);
+static_assert(kmult_position_bound(2, base::kU64Max) == 131);
+static_assert(kmult_switch_capacity(2) == 257);
+static_assert(kmult_switch_capacity(kMaxSupportedK) <= kHelpPositionMax);
 
 }  // namespace approx::core

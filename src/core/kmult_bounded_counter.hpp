@@ -11,8 +11,9 @@
 //
 // Worst-case step complexity achieved:
 //   * increment: O(k) (one interval probe pass);
-//   * read: O(log₂ S_m) where S_m ≤ (k+1) + k·⌈log_k m⌉ is the largest
-//     switch index m increments can ever set — i.e.
+//   * read: O(log₂ S_m) where S_m = kmult_position_bound(k, m)
+//     (core/help_pack.hpp) bounds the switch indices m increments can
+//     ever set — i.e.
 //     O(log₂ k + log₂ log_k m), matching the paper's
 //     Ω(min(n, log₂ log_k m)) lower bound up to the additive log₂ k term
 //     (for k = O(polylog m) this is Θ(log₂ log_k m)).
@@ -27,7 +28,7 @@
 #include <cstdint>
 
 #include "base/backend.hpp"
-#include "base/kmath.hpp"
+#include "core/help_pack.hpp"
 #include "core/kmult_counter_corrected.hpp"
 
 namespace approx::core {
@@ -72,14 +73,10 @@ class KMultBoundedCounterT {
     return counter_.accuracy_guaranteed();
   }
 
-  /// Largest switch index m increments can set: the singles (k+1) plus
-  /// one interval of k switches per power of k up to m. Reads probe at
-  /// most ~2·log₂ of this.
+  /// S_m: bound on the switch indices m increments can set. Reads probe
+  /// at most ~2·log₂ of this.
   [[nodiscard]] std::uint64_t max_switch_index() const noexcept {
-    const std::uint64_t intervals =
-        base::floor_log_k(counter_.k(), m_ < 1 ? 1 : m_) + 1;
-    return base::sat_add(counter_.k() + 1,
-                         base::sat_mul(counter_.k(), intervals));
+    return kmult_position_bound(counter_.k(), m_ < 1 ? 1 : m_);
   }
 
  private:

@@ -5,9 +5,18 @@
 //
 // Shared state (paper lines 1–3):
 //   switch_j, j ∈ ℕ — 1-bit registers supporting test&set and read,
-//     initially 0, realized as a SegmentedArray<TasBitT<Backend>>;
+//     initially 0;
 //   H[n] — helping array of (switch index, sequence number) pairs
 //     (core/help_pack.hpp).
+//
+// The paper's switch sequence is infinite, but 64-bit saturation bounds
+// the part any execution reaches: a process attempts interval j only
+// when its batch lcounter equals limit = k^j, so k^j fits a uint64_t and
+// j ≤ ⌊log_k(2^64 − 1)⌋ — one more power of k saturates. The switches
+// are therefore one contiguous array of kmult_switch_capacity(k)
+// TasBitT<Backend>s allocated at construction (core/help_pack.hpp holds
+// the bound and the reads' overshoot; 257 bits at k = 2), and every
+// access asserts its index is below that capacity.
 //
 // Per-process persistent locals (lines 4–9): last_i, lcounter_i, limit_i,
 // sn_i, l0_i — kept in a cache-line-padded per-process block; operations
@@ -75,7 +84,6 @@
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
 #include "base/register.hpp"
-#include "base/segmented_array.hpp"
 #include "base/test_and_set.hpp"
 #include "core/help_pack.hpp"
 
@@ -144,9 +152,16 @@ class KMultCounterT {
     std::vector<std::uint64_t> help;  // baseline seq numbers (helping scan)
   };
 
+  /// The one access path to the switches (see the header comment).
+  base::TasBitT<Backend>& switch_at(std::uint64_t index) const {
+    assert(index < capacity_ && "switch index beyond the saturation bound");
+    return switches_[index];
+  }
+
   unsigned n_;
   std::uint64_t k_;
-  base::SegmentedArray<base::TasBitT<Backend>> switches_;
+  std::uint64_t capacity_;  // kmult_switch_capacity(k)
+  std::unique_ptr<base::TasBitT<Backend>[]> switches_;
   std::unique_ptr<base::Register<std::uint64_t, Backend>[]> h_;  // H[n]
   std::unique_ptr<Local[]> locals_;
 };
@@ -162,12 +177,12 @@ using KMultCounter = KMultCounterT<base::InstrumentedBackend>;
 template <typename Backend>
 KMultCounterT<Backend>::KMultCounterT(unsigned num_processes, std::uint64_t k)
     : n_(num_processes),
-      k_(k),
+      k_(check_help_pack_k(k)),
+      capacity_(kmult_switch_capacity(k)),
+      switches_(new base::TasBitT<Backend>[capacity_]),
       h_(new base::Register<std::uint64_t, Backend>[num_processes]),
       locals_(new Local[num_processes]) {
   assert(num_processes >= 1);
-  assert(k >= 2 && "the multiplicative parameter must be at least 2");
-  check_help_pack_k(k);
   for (unsigned i = 0; i < num_processes; ++i) {
     locals_[i].help.assign(num_processes, 0);
   }
@@ -202,7 +217,7 @@ void KMultCounterT<Backend>::increment(unsigned pid) {
     // Try to announce k^j increments on one switch of interval
     // [(j-1)k+1, jk], resuming at the persistent offset l0 (line 15).
     for (std::uint64_t l = (j - 1) * k_ + me.l0; l <= j * k_; ++l) {
-      if (!switches_.at(l).test_and_set()) {                  // line 16
+      if (!switch_at(l).test_and_set()) {                     // line 16
         me.sn += 1;                                           // line 17
         h_[pid].write(pack_help(l, me.sn));                   // line 18
         me.lcounter = 0;                                      // line 19
@@ -218,7 +233,7 @@ void KMultCounterT<Backend>::increment(unsigned pid) {
     me.l0 = 1;                                                // line 24
     me.limit = base::sat_mul(k_, me.limit);                   // line 28
   } else {
-    if (!switches_.at(0).test_and_set()) {                    // line 26
+    if (!switch_at(0).test_and_set()) {                       // line 26
       me.lcounter = 0;                                        // line 27
     }
     me.limit = base::sat_mul(k_, me.limit);                   // line 28
@@ -233,7 +248,7 @@ std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
   std::uint64_t p = 0;
   std::uint64_t q = 0;
   bool advanced = false;  // did the while loop run in *this* call?
-  while (switches_.at(me.last).read()) {                      // line 37
+  while (switch_at(me.last).read()) {                         // line 37
     advanced = true;
     p = me.last % k_;                                         // line 38
     q = me.last / k_;                                         // line 39
@@ -279,13 +294,13 @@ std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
 
 template <typename Backend>
 bool KMultCounterT<Backend>::switch_set_unrecorded(std::uint64_t index) const {
-  return switches_.at(index).peek_unrecorded();
+  return switch_at(index).peek_unrecorded();
 }
 
 template <typename Backend>
 std::uint64_t KMultCounterT<Backend>::first_unset_switch_unrecorded() const {
   std::uint64_t i = 0;
-  while (switches_.at(i).peek_unrecorded()) ++i;
+  while (switch_at(i).peek_unrecorded()) ++i;
   return i;
 }
 

@@ -34,8 +34,12 @@
 // paper. Reads additionally scan the k+1 singles densely (once per
 // process, amortized O(1)). The wait-free helping mechanism is unchanged.
 //
-// Backend policy as in kmult_counter.hpp: `KMultCounterCorrected`
-// aliases the instrumented instantiation.
+// Backend policy and switch storage as in kmult_counter.hpp:
+// `KMultCounterCorrected` aliases the instrumented instantiation, and the
+// switches are one array of kmult_switch_capacity(k) bits. The corrected
+// layout's intervals end one k-block above the paper's, and read_fast's
+// doubling probe overshoots the last set switch up to the next power of
+// two; the capacity covers both (core/help_pack.hpp).
 //
 // Memory-order audit (RelaxedDirectBackend): identical to the uncorrected
 // algorithm's audit in kmult_counter.hpp — the fix re-weights the switch
@@ -56,7 +60,6 @@
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
 #include "base/register.hpp"
-#include "base/segmented_array.hpp"
 #include "base/test_and_set.hpp"
 #include "core/help_pack.hpp"
 
@@ -146,9 +149,16 @@ class KMultCounterCorrectedT {
   void capture_help_baseline(Local& me);
   [[nodiscard]] bool check_helped_return(Local& me, std::uint64_t& value);
 
+  /// The one access path to the switches (see kmult_counter.hpp).
+  base::TasBitT<Backend>& switch_at(std::uint64_t index) const {
+    assert(index < capacity_ && "switch index beyond the saturation bound");
+    return switches_[index];
+  }
+
   unsigned n_;
   std::uint64_t k_;
-  base::SegmentedArray<base::TasBitT<Backend>> switches_;
+  std::uint64_t capacity_;  // kmult_switch_capacity(k)
+  std::unique_ptr<base::TasBitT<Backend>[]> switches_;
   std::unique_ptr<base::Register<std::uint64_t, Backend>[]> h_;
   std::unique_ptr<Local[]> locals_;
 };
@@ -164,12 +174,12 @@ template <typename Backend>
 KMultCounterCorrectedT<Backend>::KMultCounterCorrectedT(unsigned num_processes,
                                                         std::uint64_t k)
     : n_(num_processes),
-      k_(k),
+      k_(check_help_pack_k(k)),
+      capacity_(kmult_switch_capacity(k)),
+      switches_(new base::TasBitT<Backend>[capacity_]),
       h_(new base::Register<std::uint64_t, Backend>[num_processes]),
       locals_(new Local[num_processes]) {
   assert(num_processes >= 1);
-  assert(k >= 2 && "the multiplicative parameter must be at least 2");
-  check_help_pack_k(k);
   for (unsigned i = 0; i < num_processes; ++i) {
     locals_[i].help.assign(num_processes, 0);
   }
@@ -212,7 +222,7 @@ void KMultCounterCorrectedT<Backend>::increment(unsigned pid) {
     // Bootstrap: announce this single increment on one of the k+1 unit
     // switches. Losing all of them proves the singles are exhausted.
     for (std::uint64_t l = me.single_cursor; l <= k_; ++l) {
-      if (!switches_.at(l).test_and_set()) {
+      if (!switch_at(l).test_and_set()) {
         me.sn += 1;
         h_[pid].write(pack_help(l, me.sn));
         me.lcounter = 0;
@@ -229,7 +239,7 @@ void KMultCounterCorrectedT<Backend>::increment(unsigned pid) {
   // limit = k^q: announce the batch on one switch of I_q = [qk+1, (q+1)k].
   const std::uint64_t q = base::exact_log_k(k_, me.limit);
   for (std::uint64_t l = q * k_ + me.offset; l <= (q + 1) * k_; ++l) {
-    if (!switches_.at(l).test_and_set()) {
+    if (!switch_at(l).test_and_set()) {
       me.sn += 1;
       h_[pid].write(pack_help(l, me.sn));
       me.lcounter = 0;
@@ -293,7 +303,7 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read(unsigned pid) {
   std::uint64_t c = 0;
   std::uint64_t h = 0;
   bool advanced = false;
-  while (switches_.at(me.last).read()) {
+  while (switch_at(me.last).read()) {
     advanced = true;
     h = me.last;
     me.last = next_scan_position(me.last);
@@ -333,15 +343,15 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read_fast(unsigned pid) {
     me.last_fast_attempts = attempt + 1;
     // Doubling phase: find some unset index (the prefix is finite).
     std::uint64_t hi = 1;
-    if (!switches_.at(0).read()) return 0;
-    while (switches_.at(hi).read()) {
+    if (!switch_at(0).read()) return 0;
+    while (switch_at(hi).read()) {
       hi = hi * 2;
     }
     // Invariant: switch_lo was seen set, switch_hi was seen unset.
     std::uint64_t lo = hi / 2;  // last probe of the doubling that was set
     while (lo + 1 < hi) {
       const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (switches_.at(mid).read()) {
+      if (switch_at(mid).read()) {
         lo = mid;
       } else {
         hi = mid;
@@ -350,7 +360,7 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read_fast(unsigned pid) {
     // Verification in real-time order: h set, then h+1 unset. Both
     // observations holding in this order pins a configuration where the
     // set prefix is exactly [0, h] (switches only ever rise).
-    if (switches_.at(lo).read() && !switches_.at(lo + 1).read()) {
+    if (switch_at(lo).read() && !switch_at(lo + 1).read()) {
       return value_at_position(lo);
     }
     // The boundary moved past lo+1: writers are announcing. Baseline
@@ -370,14 +380,14 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read_fast(unsigned pid) {
 template <typename Backend>
 bool KMultCounterCorrectedT<Backend>::switch_set_unrecorded(
     std::uint64_t index) const {
-  return switches_.at(index).peek_unrecorded();
+  return switch_at(index).peek_unrecorded();
 }
 
 template <typename Backend>
 std::uint64_t KMultCounterCorrectedT<Backend>::first_unset_switch_unrecorded()
     const {
   std::uint64_t i = 0;
-  while (switches_.at(i).peek_unrecorded()) ++i;
+  while (switch_at(i).peek_unrecorded()) ++i;
   return i;
 }
 

@@ -467,7 +467,7 @@ class ServerCore {
         encode_full_frame(frame, collect_ns, *full);
         pub.full = std::move(full);
       }
-      bool groups_changed_valid = false;  // changed list usable for groups
+      bool changed_valid = false;  // the changed walk succeeded
       if (prev_seq != 0) {
         changed.clear();
         // A create racing in since our pass shifts flat-table indices;
@@ -478,7 +478,7 @@ class ServerCore {
         // is exactly this frame's sequence.
         if (hooks_.changed_since(prev_seq, frame.registry_version, changed)
                 .has_value()) {
-          groups_changed_valid = true;
+          changed_valid = true;
           if (prev_regver == frame.registry_version) {
             auto delta = std::make_shared<std::string>();
             encode_delta_frame(frame.sequence, frame.registry_version,
@@ -523,8 +523,7 @@ class ServerCore {
               std::make_shared<shard::TelemetryFrame>(frame);
           for (const auto& [key, group] : table->by_key) {
             collector_group_pass(*group, frame, snapshot, collect_ns,
-                                 groups_changed_valid, changed,
-                                 group_subset);
+                                 changed_valid, changed, group_subset);
           }
         }
       }
@@ -570,8 +569,14 @@ class ServerCore {
       frames_collected_.fetch_add(1, std::memory_order_relaxed);
       for (auto& worker : workers_) wake(*worker);
       const auto flush_done = std::chrono::steady_clock::now();
-      prev_seq = frame.sequence;
-      prev_regver = frame.registry_version;
+      // The basis advances only past a tick whose changed walk
+      // succeeded: a raced tick's changes must ride the next delta (the
+      // walk from the older basis covers them), or filter groups, which
+      // keep their basis through the raced tick, would never see them.
+      if (prev_seq == 0 || changed_valid) {
+        prev_seq = frame.sequence;
+        prev_regver = frame.registry_version;
+      }
       collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
       // Self-metrics: per-stage timings into the `__sys/` histograms and
       // the tick's gauge refresh (next tick's collect pass picks both
@@ -614,10 +619,15 @@ class ServerCore {
                       options_.period)
                       .count()));
       }
-      // Sleep out the tick in 1 ms slices so stop() stays responsive.
-      while (running_.load(std::memory_order_acquire) &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Sleep out the tick in slices of at most 1 ms so stop() stays
+      // responsive. The last slice ends at the deadline instead of up to
+      // a whole slice past it, so the tick length does not depend on how
+      // much of the period the tick's work happened to use.
+      for (auto t = std::chrono::steady_clock::now();
+           running_.load(std::memory_order_acquire) && t < deadline;
+           t = std::chrono::steady_clock::now()) {
+        std::this_thread::sleep_until(
+            std::min(deadline, t + std::chrono::milliseconds(1)));
       }
     }
     collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -114,30 +115,39 @@ TEST(EpochDomain, WriterProgressUnderContinuouslyOverlappingReaders) {
   EpochDomain domain(8);
   std::atomic<int> freed{0};
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> sections{0};
+  constexpr int kReaders = 2;
+  // One completed-section counter per reader, bumped only after that
+  // reader's guard is released.
+  std::array<std::atomic<std::uint64_t>, kReaders> sections{};
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
       while (!stop.load(std::memory_order_acquire)) {
-        const EpochDomain::Guard guard(domain);
-        sections.fetch_add(1, std::memory_order_relaxed);
+        {
+          const EpochDomain::Guard guard(domain);
+        }
+        sections[r].fetch_add(1, std::memory_order_release);
       }
     });
   }
   constexpr int kRetires = 400;  // each paced wait can cost a scheduler
                                  // quantum on a loaded 1-core host
   std::size_t max_backlog = 0;
-  std::uint64_t last_sections = 0;
+  std::array<std::uint64_t, kReaders> last_sections{};
   for (int i = 0; i < kRetires; ++i) {
     // Pace retires against reader turnover: the hard bound is stated
     // relative to per-reader progress (each section finishes), so every
-    // retire waits for at least one fresh completed section — without
-    // ever requiring a reader-free instant, which this workload never
-    // has.
-    while (sections.load(std::memory_order_acquire) == last_sections) {
-      std::this_thread::yield();
+    // retire waits until *every* reader has completed a fresh section —
+    // without ever requiring a reader-free instant, which this workload
+    // never has. A reader preempted while pinned therefore stalls the
+    // writer instead of letting the other reader's sections race all
+    // retires past a horizon it legitimately holds.
+    for (int r = 0; r < kReaders; ++r) {
+      while (sections[r].load(std::memory_order_acquire) == last_sections[r]) {
+        std::this_thread::yield();
+      }
+      last_sections[r] = sections[r].load(std::memory_order_acquire);
     }
-    last_sections = sections.load(std::memory_order_acquire);
     domain.retire(new Tracked(freed));
     domain.reclaim();
     max_backlog = std::max(max_backlog, domain.retired_count());

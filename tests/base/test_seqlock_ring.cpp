@@ -247,9 +247,11 @@ TYPED_TEST(SeqlockRingStress, ConcurrentWriterAndReadersStayConsistent) {
                             /*generation=*/42));
 
   std::atomic<bool> done{false};
+  std::atomic<int> readers_started{0};
   std::atomic<std::uint64_t> frames_read{0};
   std::atomic<int> torn_frames{0};
   auto reader_fn = [&] {
+    readers_started.fetch_add(1, std::memory_order_release);
     SeqlockRingReaderT<TypeParam> reader;
     ASSERT_TRUE(reader.attach(region.data(), region.size() * 8));
     std::string out;
@@ -272,6 +274,11 @@ TYPED_TEST(SeqlockRingStress, ConcurrentWriterAndReadersStayConsistent) {
   };
   std::thread r1(reader_fn);
   std::thread r2(reader_fn);
+  // Race readers that are actually running: on a loaded host the writer
+  // could otherwise publish every frame before either thread starts.
+  while (readers_started.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
   for (std::uint64_t i = 0; i < kFrames; ++i) {
     const std::string frame = make_frame(i, kCap);
     ASSERT_TRUE(writer.publish(frame.data(), frame.size()));

@@ -2,6 +2,7 @@
 // the field boundaries the seed's 40/24 split silently wrapped at.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "base/kmath.hpp"
@@ -74,6 +75,46 @@ TEST(HelpPackTest, ConstructorsRejectUnsupportedKInEveryBuildMode) {
   EXPECT_THROW(KMultCounterCorrected(2, kMaxSupportedK + 1),
                std::invalid_argument);
   EXPECT_NO_THROW(KMultCounter(2, kMaxSupportedK));
+}
+
+TEST(HelpPackTest, SwitchCapacityCoversSaturatedExecutions) {
+  // The switch array is sized by 64-bit saturation: J = ⌊log_k(2^64−1)⌋
+  // is the last interval whose weight k^J still fits, and the capacity
+  // must hold every position either counter can set in it plus both
+  // read-side overshoots (linear cursor: k−1 past the last settable
+  // switch; read_fast's doubling probe: the next power of two above it).
+  constexpr std::uint64_t kParameters[] = {2, 3, 5, 16, 256, kMaxSupportedK};
+  for (const std::uint64_t k : kParameters) {
+    const std::uint64_t big_j = base::floor_log_k(k, base::kU64Max);
+    EXPECT_LT(base::pow_k(k, big_j), base::kU64Max) << "k = " << k;
+    EXPECT_EQ(base::pow_k(k, big_j + 1), base::kU64Max) << "k = " << k;
+    // Faithful: interval j ∈ [1, J] ends at j·k. Corrected: interval
+    // q ∈ [1, J] ends at (q+1)·k.
+    const std::uint64_t last_faithful = big_j * k;
+    const std::uint64_t last_corrected = (big_j + 1) * k;
+    const std::uint64_t last_settable = std::max(last_faithful, last_corrected);
+    EXPECT_LE(last_settable, kmult_position_bound(k, base::kU64Max))
+        << "k = " << k;
+    const std::uint64_t capacity = kmult_switch_capacity(k);
+    EXPECT_GT(capacity, last_settable + (k - 1)) << "k = " << k;
+    EXPECT_GT(capacity, base::ceil_pow2(last_settable + 1)) << "k = " << k;
+    EXPECT_LE(capacity - 1, kHelpPositionMax) << "k = " << k;
+
+    // The corrected read's value saturates by the last interval: every
+    // position of I_J reports 2^64−1, and values never decrease along the
+    // sequence up to it.
+    const KMultCounterCorrected counter(1, k);
+    for (std::uint64_t p = 1; p <= k; ++p) {
+      EXPECT_EQ(counter.value_at_position(big_j * k + p), base::kU64Max)
+          << "k = " << k << ", p = " << p;
+    }
+    std::uint64_t previous = 0;
+    for (std::uint64_t position = 0; position <= last_corrected; ++position) {
+      const std::uint64_t value = counter.value_at_position(position);
+      EXPECT_GE(value, previous) << "k = " << k << ", pos = " << position;
+      previous = value;
+    }
+  }
 }
 
 TEST(HelpPackTest, CountersAnnounceThroughThePackedPairs) {

@@ -192,8 +192,8 @@ TEST(SnapshotRetirement, ContinuouslyOverlappingScansHardCapRegression) {
   // two epochs behind the horizon — no reader-free instant required,
   // and this workload never has one.
   //
-  // The updater paces itself on scanner turnover (every scanner must
-  // complete a fresh scan per probe window) because the hard bound is
+  // The updater paces itself on scanner turnover (every update waits
+  // for a fresh completed scan from every scanner) because the bound is
   // stated relative to reader progress: a descheduled scanner
   // legitimately pins its epoch, and
   // on a single-core host it could otherwise hold the horizon across
@@ -209,11 +209,6 @@ TEST(SnapshotRetirement, ContinuouslyOverlappingScansHardCapRegression) {
   // atomicity survived the reclamation change.
   constexpr unsigned kScanners = 2;
   constexpr int kUpdates = 2000;
-  constexpr int kPaceEvery = 4;  // one paced wait per 4 updates: the
-                                 // bound argument only needs reader
-                                 // turnover per probe window (~8
-                                 // retires), and each wait can cost a
-                                 // scheduler quantum on a 1-core host
   constexpr std::size_t kCap = 32;
   Snapshot snap(kScanners + 1, kCap);
   std::atomic<bool> done{false};
@@ -244,14 +239,18 @@ TEST(SnapshotRetirement, ContinuouslyOverlappingScansHardCapRegression) {
     // while a descheduled peer legitimately pins an old epoch and the
     // backlog grows past the bound (a real flake under parallel ctest
     // load). Never waits for a scan-free moment.
-    if (v % kPaceEvery == 0) {
-      for (unsigned s = 0; s < kScanners; ++s) {
-        while (scans_completed[s].load(std::memory_order_acquire) ==
-               last_scans[s]) {
-          std::this_thread::yield();
-        }
-        last_scans[s] = scans_completed[s].load(std::memory_order_acquire);
+    //
+    // Every update, not every few: the scan a gate observes may have
+    // begun before the previous probe's advance, so only the third gate
+    // after an advance proves each scanner re-pinned past it — a probe
+    // window (~cap/4 retires) must hold at least three gates for "each
+    // probe advances the epoch once" below to hold.
+    for (unsigned s = 0; s < kScanners; ++s) {
+      while (scans_completed[s].load(std::memory_order_acquire) ==
+             last_scans[s]) {
+        std::this_thread::yield();
       }
+      last_scans[s] = scans_completed[s].load(std::memory_order_acquire);
     }
     snap.update(kScanners, v);
     max_observed = std::max(max_observed, snap.retired_records_unrecorded());

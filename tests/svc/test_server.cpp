@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1154,6 +1155,101 @@ TEST(SnapshotServer, GroupChurnWithSixtyFourStreamersResolvesCleanly) {
     drained = server.stats().frames_in_flight == 0;
   }
   EXPECT_TRUE(drained) << "in-flight frames leaked after group churn";
+  server.stop();
+}
+
+TEST(SnapshotServer, FilteredViewConvergesWhenCreatesRaceTheChangedWalk) {
+  // Regression for a lost-delta defect. A create landing between the
+  // collector's collect and its changed walk makes the walk refuse (the
+  // registry version moved), and filter groups keep their basis through
+  // that tick. The collector's own basis must then stay put too: if it
+  // advanced, the next group delta would carry only the changes since
+  // the raced tick, and the raced tick's changes would never reach the
+  // filtered subscriber unless the entry changed again. Here each subset
+  // counter changes in exactly one burst, so a lost burst stays visible
+  // as a stale value after the load stops. Creates inside the subset
+  // (early) and outside it (every round) keep the version moving.
+  constexpr int kBursts = 512;
+  constexpr int kInsideCreates = 4;  // one per 32 bursts, all early
+  const auto padded = [](const char* prefix, int i) {
+    std::string digits = std::to_string(i);
+    return prefix + std::string(4 - digits.size(), '0') + digits;
+  };
+  shard::RegistryT<base::DirectBackend> registry(4);
+  std::vector<shard::AnyCounter*> bursty;
+  for (int i = 0; i < kBursts; ++i) {
+    const std::string name = padded("db/c", i);
+    bursty.push_back(&registry.create(name, {ErrorModel::kExact, 0, 1}));
+  }
+  ServerOptions options;
+  options.period = 1ms;
+  SnapshotServer server(registry, 3, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  SubscriptionFilter filter;
+  filter.prefixes = {"db/"};
+  ASSERT_TRUE(client.subscribe(filter));
+  bool rebased = false;
+  for (int i = 0; i < 400 && !rebased; ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    rebased = !client.view().rebase_pending() &&
+              client.view().samples().size() == kBursts;
+  }
+  ASSERT_TRUE(rebased);
+
+  // Expected exact totals, written by the load thread before it stops.
+  std::map<std::string, std::uint64_t> expected;
+  std::atomic<bool> load_done{false};
+  std::thread load([&] {
+    for (int i = 0; i < kBursts; ++i) {
+      const std::uint64_t count = 1 + i % 5;
+      for (std::uint64_t c = 0; c < count; ++c) bursty[i]->increment(0);
+      expected[padded("db/c", i)] = count;
+      registry.create(padded("aa/out", i), {ErrorModel::kExact, 0, 1});
+      if (i % 32 == 0 && i / 32 < kInsideCreates) {
+        const std::string name = padded("db/in", i);
+        registry.create(name, {ErrorModel::kExact, 0, 1}).increment(0);
+        expected[name] = 1;
+      }
+      std::this_thread::sleep_for(100us);
+    }
+    load_done.store(true, std::memory_order_release);
+  });
+  // Keep the subscriber current while the load runs: a coalesced
+  // subscriber re-bases through a full frame, which would mask the loss.
+  while (!load_done.load(std::memory_order_acquire)) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  load.join();
+
+  const auto stale_entries = [&] {
+    std::vector<std::string> stale;
+    std::size_t matched = 0;
+    for (const shard::Sample& sample : client.view().samples()) {
+      const auto it = expected.find(sample.name);
+      if (it == expected.end()) continue;
+      ++matched;
+      if (sample.value != it->second) {
+        stale.push_back(sample.name + "=" + std::to_string(sample.value) +
+                        " (exact " + std::to_string(it->second) + ")");
+      }
+    }
+    if (matched != expected.size()) stale.push_back("missing entries");
+    return stale;
+  };
+  // The view must converge to the exact totals once the load stops; a
+  // quiet group only heartbeats, so a lost change would stay lost.
+  std::vector<std::string> stale = stale_entries();
+  for (int i = 0; i < 200 && !stale.empty(); ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    stale = stale_entries();
+  }
+  std::string report;
+  for (const std::string& entry : stale) report += "\n  " + entry;
+  EXPECT_TRUE(stale.empty())
+      << stale.size() << " filtered entries never converged:" << report;
   server.stop();
 }
 
