@@ -25,7 +25,20 @@
 //
 // The sharded counter must beat the single instance at ≥ 8 threads —
 // the snapshot family is where the layer earns that claim.
+//
+// A second section times one registry collect pass (layer L2) per
+// entry: 1024 counters per model (k-mult, k-additive, exact), k = 2,
+// S = 4, 3 pids (4 shards clamp to 3) — the telemetry fleet's shape.
+// Pid 0 spreads the increments over the counters on a log-spaced
+// weight ladder (1..64×); pid 1 collects. "cold" passes run right
+// after a 64 MiB cache thrash, "warm" ones right after a cold one;
+// each cell is the median of kCollectReps passes. Both are latencies,
+// which the bench-baseline guard does not compare.
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -35,6 +48,7 @@
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
 #include "bench/harness.hpp"
+#include "shard/registry.hpp"
 #include "sim/workload.hpp"
 
 namespace {
@@ -47,6 +61,65 @@ constexpr unsigned kMaxThreads = 8;
 // Collect-based costs scale with this width, which is what compact
 // sharding divides by S.
 constexpr unsigned kProvisionedProcs = 64;
+
+// Registry collect section (see the header).
+constexpr unsigned kCollectCounters = 1024;
+constexpr std::uint64_t kCollectK = 2;
+constexpr unsigned kCollectPids = 3;
+constexpr unsigned kCollectIncrementer = 0;
+constexpr unsigned kCollectReader = 1;
+constexpr int kCollectReps = 21;
+constexpr std::size_t kThrashBytes = std::size_t{64} << 20;
+
+/// Median ns per entry of one registry collect pass, cold and warm.
+struct CollectCost {
+  double cold_ns;
+  double warm_ns;
+};
+
+CollectCost registry_collect_ns(shard::ErrorModel model,
+                                std::uint64_t increments,
+                                std::vector<std::uint64_t>& thrash) {
+  shard::RegistryT<base::DirectBackend> registry(kCollectPids);
+  std::vector<shard::AnyCounter*> counters;
+  double weight_sum = 0.0;
+  for (unsigned i = 0; i < kCollectCounters; ++i) {
+    char name[32];
+    std::snprintf(name, sizeof name, "c/%04u", i);
+    counters.push_back(&registry.create(name, {model, kCollectK, 4}));
+    weight_sum += std::pow(64.0, (i % 64) / 63.0);
+  }
+  for (unsigned i = 0; i < kCollectCounters; ++i) {
+    const auto share = static_cast<std::uint64_t>(
+        static_cast<double>(increments) * std::pow(64.0, (i % 64) / 63.0) /
+        weight_sum);
+    for (std::uint64_t j = 0; j < share; ++j) {
+      counters[i]->increment(kCollectIncrementer);
+    }
+  }
+  std::vector<shard::Sample> samples;
+  std::uint64_t version =
+      registry.snapshot_all_into(kCollectReader, samples, 0);  // cursors
+  const auto pass_ns = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    version = registry.snapshot_all_into(kCollectReader, samples, version);
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(stop - start).count() /
+           kCollectCounters;
+  };
+  std::vector<double> cold;
+  std::vector<double> warm;
+  for (int rep = 0; rep < kCollectReps; ++rep) {
+    for (std::size_t i = 0; i < thrash.size(); i += 8) thrash[i] += 1;
+    cold.push_back(pass_ns());
+    warm.push_back(pass_ns());
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  return {median(cold), median(warm)};
+}
 
 /// One family: the single-instance baseline plus a sharded factory per
 /// shard count. Factories build DirectBackend instances.
@@ -153,6 +226,27 @@ const bench::Experiment kExperiment{
                            bench::num(mops / single_mops[threads], 2)});
           }
         }
+      }
+
+      auto& collect = report.section(
+          {"model", "counters", "cold ns/entry", "warm ns/entry"},
+          "registry collect pass (L2): k = 2, S = 4, 3 pids");
+      std::vector<std::uint64_t> thrash(kThrashBytes / sizeof(std::uint64_t));
+      const std::uint64_t increments =
+          bench::scaled_ops(options, 20'000'000);
+      const struct {
+        const char* name;
+        shard::ErrorModel model;
+      } models[] = {{"k-mult", shard::ErrorModel::kMultiplicative},
+                    {"k-additive", shard::ErrorModel::kAdditive},
+                    {"exact", shard::ErrorModel::kExact}};
+      for (const auto& entry : models) {
+        const CollectCost cost =
+            registry_collect_ns(entry.model, increments, thrash);
+        collect.add_row({entry.name,
+                         bench::num(std::uint64_t{kCollectCounters}),
+                         bench::num(cost.cold_ns, 1),
+                         bench::num(cost.warm_ns, 1)});
       }
     }};
 

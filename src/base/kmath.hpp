@@ -17,12 +17,13 @@ namespace approx::base {
 inline constexpr std::uint64_t kU64Max =
     std::numeric_limits<std::uint64_t>::max();
 
-/// Saturating multiplication.
+/// Saturating multiplication. Overflow comes from the multiply's own
+/// flag rather than a kU64Max / b test, so the read-value loops in
+/// core/help_pack.hpp pay no divide per term.
 [[nodiscard]] constexpr std::uint64_t sat_mul(std::uint64_t a,
                                               std::uint64_t b) noexcept {
-  if (a == 0 || b == 0) return 0;
-  if (a > kU64Max / b) return kU64Max;
-  return a * b;
+  std::uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? kU64Max : product;
 }
 
 /// Saturating addition.

@@ -85,6 +85,25 @@ inline constexpr std::uint64_t kMaxSupportedK = std::uint64_t{1} << 12;
   return std::bit_ceil(kmult_position_bound(k, base::kU64Max)) + 1;
 }
 
+/// The value a read returns: k·(head + Σ_{l=1}^{terms} k^{l+1} +
+/// p·k^{terms+1}), saturating. Both counters' read values have this
+/// shape (the faithful ReturnValue(p, q) is head 1, terms q; the
+/// corrected layout's position in I_q is head k+1, terms q−1). One pass
+/// with a running power of k: every step is a saturating add or
+/// multiply of non-negative terms, so the result is min(2^64 − 1, the
+/// exact value), the same as summing pow_k(k, l+1) term by term.
+[[nodiscard]] constexpr std::uint64_t kmult_read_value(
+    std::uint64_t k, std::uint64_t head, std::uint64_t terms,
+    std::uint64_t p) noexcept {
+  std::uint64_t sum = head;
+  std::uint64_t power = k;  // k^{l+1} after step l; k^{terms+1} at the end
+  for (std::uint64_t l = 1; l <= terms; ++l) {
+    power = base::sat_mul(power, k);
+    sum = base::sat_add(sum, power);
+  }
+  return base::sat_mul(k, base::sat_add(sum, base::sat_mul(p, power)));
+}
+
 /// Packs an announce (switch position, per-process sequence number).
 /// Both fields saturate at their maxima rather than wrapping/shifting
 /// out (unreachable for supported k; see check_help_pack_k).
@@ -132,5 +151,7 @@ static_assert(unpack_help_sn(pack_help(0, 0)) == 0);
 static_assert(kmult_position_bound(2, base::kU64Max) == 131);
 static_assert(kmult_switch_capacity(2) == 257);
 static_assert(kmult_switch_capacity(kMaxSupportedK) <= kHelpPositionMax);
+static_assert(kmult_read_value(2, 1, 1, 1) == 2 * (1 + 4 + 4));
+static_assert(kmult_read_value(2, 1, 64, 0) == base::kU64Max);
 
 }  // namespace approx::core

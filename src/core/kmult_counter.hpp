@@ -19,9 +19,13 @@
 // access asserts its index is below that capacity.
 //
 // Per-process persistent locals (lines 4–9): last_i, lcounter_i, limit_i,
-// sn_i, l0_i — kept in a cache-line-padded per-process block; operations
-// take an explicit pid and each pid must be driven by at most one thread
-// at a time (the standard "process" discipline of the model).
+// sn_i, l0_i — kept on cache lines of their own; operations take an
+// explicit pid and each pid must be driven by at most one thread at a
+// time (the standard "process" discipline of the model).
+//
+// Storage: the switches, H, the locals and the helping baselines share
+// one allocation laid out by core/kmult_block.hpp, which also states
+// which process writes which cache line.
 //
 // How it works (paper §III). switch_0 accounts for 1 increment; the
 // switches are then partitioned into consecutive intervals of length k,
@@ -78,14 +82,11 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
-#include "base/register.hpp"
-#include "base/test_and_set.hpp"
 #include "core/help_pack.hpp"
+#include "core/kmult_block.hpp"
 
 namespace approx::core {
 
@@ -138,7 +139,14 @@ class KMultCounterT {
   /// switch. Diagnostic for the E13 helping ablation; not part of the
   /// algorithm.
   [[nodiscard]] std::uint64_t reads_via_helping(unsigned pid) const {
-    return locals_[pid].helping_returns;
+    return block_.local(pid).helping_returns;
+  }
+
+  /// The counter's storage (core/kmult_block.hpp), for the cache-line
+  /// layout checks in tests/shard/test_sharded_counter.cpp. Diagnostic;
+  /// charges no steps.
+  [[nodiscard]] const auto& block_unrecorded() const noexcept {
+    return block_;
   }
 
  private:
@@ -149,21 +157,16 @@ class KMultCounterT {
     std::uint64_t sn = 0;        // successful test&sets by this process
     std::uint64_t l0 = 1;        // resume offset within the current interval
     std::uint64_t helping_returns = 0;  // diagnostic (see reads_via_helping)
-    std::vector<std::uint64_t> help;  // baseline seq numbers (helping scan)
   };
 
-  /// The one access path to the switches (see the header comment).
+  /// The one access path to the switches (asserts the capacity).
   base::TasBitT<Backend>& switch_at(std::uint64_t index) const {
-    assert(index < capacity_ && "switch index beyond the saturation bound");
-    return switches_[index];
+    return block_.switch_at(index);
   }
 
   unsigned n_;
   std::uint64_t k_;
-  std::uint64_t capacity_;  // kmult_switch_capacity(k)
-  std::unique_ptr<base::TasBitT<Backend>[]> switches_;
-  std::unique_ptr<base::Register<std::uint64_t, Backend>[]> h_;  // H[n]
-  std::unique_ptr<Local[]> locals_;
+  KMultBlock<Backend, Local> block_;  // switches, H[n], locals, baselines
 };
 
 /// The model-faithful default instantiation (pre-policy class name).
@@ -178,14 +181,8 @@ template <typename Backend>
 KMultCounterT<Backend>::KMultCounterT(unsigned num_processes, std::uint64_t k)
     : n_(num_processes),
       k_(check_help_pack_k(k)),
-      capacity_(kmult_switch_capacity(k)),
-      switches_(new base::TasBitT<Backend>[capacity_]),
-      h_(new base::Register<std::uint64_t, Backend>[num_processes]),
-      locals_(new Local[num_processes]) {
+      block_(num_processes, kmult_switch_capacity(k)) {
   assert(num_processes >= 1);
-  for (unsigned i = 0; i < num_processes; ++i) {
-    locals_[i].help.assign(num_processes, 0);
-  }
 }
 
 template <typename Backend>
@@ -193,23 +190,20 @@ bool KMultCounterT<Backend>::accuracy_guaranteed() const noexcept {
   return k_ >= base::ceil_sqrt(n_);
 }
 
-// Lines 30–34: ReturnValue(p, q) = k · (1 + p·k^{q+1} + Σ_{l=1}^{q} k^{l+1}).
+// Lines 30–34: ReturnValue(p, q) = k · (1 + p·k^{q+1} + Σ_{l=1}^{q} k^{l+1}),
+// the line-33 sum taken in one pass (core/help_pack.hpp).
 // Saturating arithmetic: a saturated return still satisfies the band
 // (see base/kmath.hpp), and reaching it would need ≥ 2^64 increments.
 template <typename Backend>
 std::uint64_t KMultCounterT<Backend>::return_value(std::uint64_t p,
                                                    std::uint64_t q) const {
-  std::uint64_t ret = base::sat_add(1, base::sat_mul(p, base::pow_k(k_, q + 1)));
-  for (std::uint64_t l = 1; l <= q; ++l) {                    // line 33
-    ret = base::sat_add(ret, base::pow_k(k_, l + 1));
-  }
-  return base::sat_mul(k_, ret);                              // line 34
+  return kmult_read_value(k_, 1, q, p);
 }
 
 template <typename Backend>
 void KMultCounterT<Backend>::increment(unsigned pid) {
   assert(pid < n_);
-  Local& me = locals_[pid];
+  Local& me = block_.local(pid);
   me.lcounter += 1;                                           // line 11
   if (me.lcounter != me.limit) return;                        // line 12
   const std::uint64_t j = base::exact_log_k(k_, me.lcounter); // line 13
@@ -219,7 +213,7 @@ void KMultCounterT<Backend>::increment(unsigned pid) {
     for (std::uint64_t l = (j - 1) * k_ + me.l0; l <= j * k_; ++l) {
       if (!switch_at(l).test_and_set()) {                     // line 16
         me.sn += 1;                                           // line 17
-        h_[pid].write(pack_help(l, me.sn));                   // line 18
+        block_.h(pid).write(pack_help(l, me.sn));                   // line 18
         me.lcounter = 0;                                      // line 19
         if (l == j * k_) {                                    // line 20
           me.limit = base::sat_mul(k_, me.limit);             // line 21
@@ -243,7 +237,7 @@ void KMultCounterT<Backend>::increment(unsigned pid) {
 template <typename Backend>
 std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
   assert(pid < n_);
-  Local& me = locals_[pid];
+  Local& me = block_.local(pid);
   std::uint64_t c = 0;                                        // line 36
   std::uint64_t p = 0;
   std::uint64_t q = 0;
@@ -261,13 +255,15 @@ std::uint64_t KMultCounterT<Backend>::read(unsigned pid) {
     c += 1;                                                   // line 44
     if (c % n_ == 0) {                                        // line 45
       if (c == n_) {                                          // line 46
+        std::uint64_t* help = block_.baseline(pid);
         for (unsigned i = 0; i < n_; ++i) {                   // lines 47–48
-          me.help[i] = unpack_help_sn(h_[i].read());
+          help[i] = unpack_help_sn(block_.h(i).read());
         }
       } else {
+        const std::uint64_t* help = block_.baseline(pid);
         for (unsigned i = 0; i < n_; ++i) {                   // lines 50–51
-          const std::uint64_t pair = h_[i].read();
-          if (unpack_help_sn(pair) >= me.help[i] + 2) {       // line 52
+          const std::uint64_t pair = block_.h(i).read();
+          if (unpack_help_sn(pair) >= help[i] + 2) {          // line 52
             // Process i completed a full announce inside this read; its
             // switch index is a safe linearization witness (Lemma III.3).
             me.helping_returns += 1;

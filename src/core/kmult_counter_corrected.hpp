@@ -34,12 +34,14 @@
 // paper. Reads additionally scan the k+1 singles densely (once per
 // process, amortized O(1)). The wait-free helping mechanism is unchanged.
 //
-// Backend policy and switch storage as in kmult_counter.hpp:
+// Backend policy and storage as in kmult_counter.hpp:
 // `KMultCounterCorrected` aliases the instrumented instantiation, and the
-// switches are one array of kmult_switch_capacity(k) bits. The corrected
-// layout's intervals end one k-block above the paper's, and read_fast's
-// doubling probe overshoots the last set switch up to the next power of
-// two; the capacity covers both (core/help_pack.hpp).
+// switches, H, the locals and the helping baselines share one
+// core/kmult_block.hpp allocation with kmult_switch_capacity(k)
+// switches. The corrected layout's intervals end one k-block above the
+// paper's, and read_fast's doubling probe overshoots the last set switch
+// up to the next power of two; the capacity covers both
+// (core/help_pack.hpp).
 //
 // Memory-order audit (RelaxedDirectBackend): identical to the uncorrected
 // algorithm's audit in kmult_counter.hpp — the fix re-weights the switch
@@ -54,14 +56,11 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
-#include "base/register.hpp"
-#include "base/test_and_set.hpp"
 #include "core/help_pack.hpp"
+#include "core/kmult_block.hpp"
 
 namespace approx::core {
 
@@ -114,14 +113,21 @@ class KMultCounterCorrectedT {
   /// Reads by `pid` that returned through the helping mechanism
   /// (diagnostic for the E13 ablation; not part of the algorithm).
   [[nodiscard]] std::uint64_t reads_via_helping(unsigned pid) const {
-    return locals_[pid].helping_returns;
+    return block_.local(pid).helping_returns;
   }
 
   /// Search attempts consumed by `pid`'s most recent read_fast call
   /// (diagnostic; pins the helping-derived retry bound ≤ 2n+2 in
   /// tests/core/test_read_fast.cpp).
   [[nodiscard]] std::uint64_t last_read_fast_attempts(unsigned pid) const {
-    return locals_[pid].last_fast_attempts;
+    return block_.local(pid).last_fast_attempts;
+  }
+
+  /// The counter's storage (core/kmult_block.hpp), for the cache-line
+  /// layout checks in tests/shard/test_sharded_counter.cpp. Diagnostic;
+  /// charges no steps.
+  [[nodiscard]] const auto& block_unrecorded() const noexcept {
+    return block_;
   }
 
  private:
@@ -134,7 +140,6 @@ class KMultCounterCorrectedT {
     std::uint64_t offset = 1;     // resume offset within the current I_q
     std::uint64_t helping_returns = 0;    // diagnostic
     std::uint64_t last_fast_attempts = 0;  // diagnostic
-    std::vector<std::uint64_t> help;
   };
 
   // Scan-position helpers (singles scanned densely, intervals at their
@@ -146,21 +151,17 @@ class KMultCounterCorrectedT {
   // process's announce sequence number, later return through any pair
   // whose sn advanced by ≥ 2 (a complete announce inside the read —
   // paper lines 50–55, Lemma III.3).
-  void capture_help_baseline(Local& me);
-  [[nodiscard]] bool check_helped_return(Local& me, std::uint64_t& value);
+  void capture_help_baseline(unsigned pid);
+  [[nodiscard]] bool check_helped_return(unsigned pid, std::uint64_t& value);
 
-  /// The one access path to the switches (see kmult_counter.hpp).
+  /// The one access path to the switches (asserts the capacity).
   base::TasBitT<Backend>& switch_at(std::uint64_t index) const {
-    assert(index < capacity_ && "switch index beyond the saturation bound");
-    return switches_[index];
+    return block_.switch_at(index);
   }
 
   unsigned n_;
   std::uint64_t k_;
-  std::uint64_t capacity_;  // kmult_switch_capacity(k)
-  std::unique_ptr<base::TasBitT<Backend>[]> switches_;
-  std::unique_ptr<base::Register<std::uint64_t, Backend>[]> h_;
-  std::unique_ptr<Local[]> locals_;
+  KMultBlock<Backend, Local> block_;
 };
 
 /// The model-faithful default instantiation (pre-policy class name).
@@ -175,14 +176,8 @@ KMultCounterCorrectedT<Backend>::KMultCounterCorrectedT(unsigned num_processes,
                                                         std::uint64_t k)
     : n_(num_processes),
       k_(check_help_pack_k(k)),
-      capacity_(kmult_switch_capacity(k)),
-      switches_(new base::TasBitT<Backend>[capacity_]),
-      h_(new base::Register<std::uint64_t, Backend>[num_processes]),
-      locals_(new Local[num_processes]) {
+      block_(num_processes, kmult_switch_capacity(k)) {
   assert(num_processes >= 1);
-  for (unsigned i = 0; i < num_processes; ++i) {
-    locals_[i].help.assign(num_processes, 0);
-  }
 }
 
 template <typename Backend>
@@ -193,28 +188,18 @@ bool KMultCounterCorrectedT<Backend>::accuracy_guaranteed() const noexcept {
 template <typename Backend>
 std::uint64_t KMultCounterCorrectedT<Backend>::value_at_position(
     std::uint64_t position) const {
-  std::uint64_t announced;
-  if (position <= k_) {
-    // Singles: position h set ⇒ h+1 increments announced (prefix).
-    announced = position + 1;
-  } else {
-    // position = qk + p in I_q (q ≥ 1, p ∈ [1, k]): all singles, all of
-    // I_1..I_{q−1} (k^{l+1} each), and p switches of I_q (k^q each).
-    const std::uint64_t q = (position - 1) / k_;
-    const std::uint64_t p = position - q * k_;
-    announced = k_ + 1;
-    for (std::uint64_t l = 1; l < q; ++l) {
-      announced = base::sat_add(announced, base::pow_k(k_, l + 1));
-    }
-    announced = base::sat_add(announced, base::sat_mul(p, base::pow_k(k_, q)));
-  }
-  return base::sat_mul(k_, announced);
+  // Singles: position h set ⇒ h+1 increments announced (prefix).
+  if (position <= k_) return base::sat_mul(k_, position + 1);
+  // position = qk + p in I_q (q ≥ 1, p ∈ [1, k]): all k+1 singles, all
+  // of I_1..I_{q−1} (k^{l+1} each), and p switches of I_q (k^q each).
+  const std::uint64_t q = (position - 1) / k_;
+  return kmult_read_value(k_, k_ + 1, q - 1, position - q * k_);
 }
 
 template <typename Backend>
 void KMultCounterCorrectedT<Backend>::increment(unsigned pid) {
   assert(pid < n_);
-  Local& me = locals_[pid];
+  Local& me = block_.local(pid);
   me.lcounter += 1;
   if (me.lcounter != me.limit) return;
 
@@ -224,7 +209,7 @@ void KMultCounterCorrectedT<Backend>::increment(unsigned pid) {
     for (std::uint64_t l = me.single_cursor; l <= k_; ++l) {
       if (!switch_at(l).test_and_set()) {
         me.sn += 1;
-        h_[pid].write(pack_help(l, me.sn));
+        block_.h(pid).write(pack_help(l, me.sn));
         me.lcounter = 0;
         me.single_cursor = l + 1;
         if (l == k_) me.limit = k_;  // singles finished by this very win
@@ -241,7 +226,7 @@ void KMultCounterCorrectedT<Backend>::increment(unsigned pid) {
   for (std::uint64_t l = q * k_ + me.offset; l <= (q + 1) * k_; ++l) {
     if (!switch_at(l).test_and_set()) {
       me.sn += 1;
-      h_[pid].write(pack_help(l, me.sn));
+      block_.h(pid).write(pack_help(l, me.sn));
       me.lcounter = 0;
       if (l == (q + 1) * k_) {
         me.limit = base::sat_mul(k_, me.limit);
@@ -276,19 +261,21 @@ std::uint64_t KMultCounterCorrectedT<Backend>::previous_scan_position(
 }
 
 template <typename Backend>
-void KMultCounterCorrectedT<Backend>::capture_help_baseline(Local& me) {
+void KMultCounterCorrectedT<Backend>::capture_help_baseline(unsigned pid) {
+  std::uint64_t* help = block_.baseline(pid);
   for (unsigned i = 0; i < n_; ++i) {
-    me.help[i] = unpack_help_sn(h_[i].read());
+    help[i] = unpack_help_sn(block_.h(i).read());
   }
 }
 
 template <typename Backend>
 bool KMultCounterCorrectedT<Backend>::check_helped_return(
-    Local& me, std::uint64_t& value) {
+    unsigned pid, std::uint64_t& value) {
+  const std::uint64_t* help = block_.baseline(pid);
   for (unsigned i = 0; i < n_; ++i) {
-    const std::uint64_t pair = h_[i].read();
-    if (unpack_help_sn(pair) >= me.help[i] + 2) {
-      me.helping_returns += 1;
+    const std::uint64_t pair = block_.h(i).read();
+    if (unpack_help_sn(pair) >= help[i] + 2) {
+      block_.local(pid).helping_returns += 1;
       value = value_at_position(unpack_help_position(pair));
       return true;
     }
@@ -299,7 +286,7 @@ bool KMultCounterCorrectedT<Backend>::check_helped_return(
 template <typename Backend>
 std::uint64_t KMultCounterCorrectedT<Backend>::read(unsigned pid) {
   assert(pid < n_);
-  Local& me = locals_[pid];
+  Local& me = block_.local(pid);
   std::uint64_t c = 0;
   std::uint64_t h = 0;
   bool advanced = false;
@@ -310,10 +297,10 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read(unsigned pid) {
     c += 1;
     if (c % n_ == 0) {
       if (c == n_) {
-        capture_help_baseline(me);
+        capture_help_baseline(pid);
       } else {
         std::uint64_t helped_value = 0;
-        if (check_helped_return(me, helped_value)) return helped_value;
+        if (check_helped_return(pid, helped_value)) return helped_value;
       }
     }
   }
@@ -336,7 +323,7 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read_fast(unsigned pid) {
   // terminates within kMaxAttempts = 2n+2 attempts; the final linear-
   // read fallback is belt-and-braces (unreachable unless the bound
   // argument is violated), keeping wait-freedom unconditional.
-  Local& me = locals_[pid];
+  Local& me = block_.local(pid);
   const std::uint64_t kMaxAttempts = 2 * std::uint64_t{n_} + 2;
   bool have_baseline = false;
   for (std::uint64_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
@@ -367,11 +354,11 @@ std::uint64_t KMultCounterCorrectedT<Backend>::read_fast(unsigned pid) {
     // the helping array on the first failure, then watch for a ≥ 2
     // advance exactly as the linear read does.
     if (!have_baseline) {
-      capture_help_baseline(me);
+      capture_help_baseline(pid);
       have_baseline = true;
     } else {
       std::uint64_t helped_value = 0;
-      if (check_helped_return(me, helped_value)) return helped_value;
+      if (check_helped_return(pid, helped_value)) return helped_value;
     }
   }
   return read(pid);

@@ -60,16 +60,18 @@
 // arrays, at the cost of the pinned mode's tighter accuracy
 // precondition — see accuracy_guaranteed()).
 //
-// Each shard lives in its own cache-line-aligned heap allocation, so
-// shard headers never false-share; per-pid routing state is line-padded
-// likewise.
+// The S shards live in one 64-byte-aligned array, each padded to whole
+// cache lines: a read walks S adjacent headers instead of chasing S
+// pointers, and shard headers never false-share. Per-pid routing state
+// is line-padded likewise.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "base/backend.hpp"
 #include "base/kmath.hpp"
@@ -194,18 +196,21 @@ class ShardedCounterT {
       per_process_[pid].route_shard = home_shard(pid);
       per_process_[pid].route_local = compact_ ? local_pid(pid) : pid;
     }
-    shards_.reserve(num_shards_);
+    shards_.boxes = static_cast<Box*>(::operator new(
+        num_shards_ * sizeof(Box), std::align_val_t{alignof(Box)}));
     for (unsigned s = 0; s < num_shards_; ++s) {
       const unsigned shard_pids = compact_ ? bucket_size(s) : n_;
+      Box* box = shards_.boxes + s;
       if constexpr (std::is_constructible_v<shard_type, unsigned,
                                             std::uint64_t>) {
-        shards_.push_back(std::make_unique<Box>(shard_pids, k));
+        new (box) Box(shard_pids, k);
       } else if constexpr (std::is_constructible_v<shard_type, unsigned>) {
-        shards_.push_back(std::make_unique<Box>(shard_pids));
+        new (box) Box(shard_pids);
       } else {
         (void)shard_pids;  // e.g. fetch&add: a single cell, no pid space
-        shards_.push_back(std::make_unique<Box>());
+        new (box) Box();
       }
+      shards_.built = s + 1;
     }
   }
 
@@ -222,12 +227,12 @@ class ShardedCounterT {
         // helping traffic, and any pid may hit any shard (global pid).
         const unsigned s = static_cast<unsigned>(
             (home_shard(pid) + me.rr_cursor++) % num_shards_);
-        shards_[s]->shard.increment(pid);
+        shards_.boxes[s].shard.increment(pid);
       } else {
         // Slot-owning increments (single-writer slots): the remap table
         // routes both policies onto the compact home cell — rotation has
         // no contention to balance here (see the header).
-        shards_[me.route_shard]->shard.increment(me.route_local);
+        shards_.boxes[me.route_shard].shard.increment(me.route_local);
       }
     } else {
       // Shared-cell shards (fetch&add): rotation spreads RMW contention.
@@ -235,7 +240,7 @@ class ShardedCounterT {
       if (policy_ == ShardPolicy::kRoundRobin) {
         s = static_cast<unsigned>((s + me.rr_cursor++) % num_shards_);
       }
-      shards_[s]->shard.increment();
+      shards_.boxes[s].shard.increment();
     }
   }
 
@@ -246,7 +251,7 @@ class ShardedCounterT {
     assert(pid < n_);
     std::uint64_t sum = 0;
     for (unsigned s = 0; s < num_shards_; ++s) {
-      shard_type& target = shards_[s]->shard;
+      shard_type& target = shards_.boxes[s].shard;
       if constexpr (kReadTakesPid) {
         sum = base::sat_add(sum, target.read(pid));
       } else {
@@ -265,7 +270,7 @@ class ShardedCounterT {
       // Batching counters are slot-owning, so the remap table confines
       // every batch to the pid's home cell — under both policies.
       const PerProcess& me = per_process_[pid];
-      shards_[me.route_shard]->shard.flush(me.route_local);
+      shards_.boxes[me.route_shard].shard.flush(me.route_local);
     }
   }
 
@@ -322,7 +327,7 @@ class ShardedCounterT {
   /// Direct shard access for tests and diagnostics.
   [[nodiscard]] shard_type& shard(unsigned s) noexcept {
     assert(s < num_shards_);
-    return shards_[s]->shard;
+    return shards_.boxes[s].shard;
   }
 
  private:
@@ -332,11 +337,27 @@ class ShardedCounterT {
     unsigned route_local = 0;     //   (shard index, in-shard slot)
   };
 
-  /// One shard in its own cache-line-aligned allocation.
+  /// One shard, padded to whole cache lines.
   struct alignas(64) Box {
     shard_type shard;
     template <typename... Args>
     explicit Box(Args&&... args) : shard(std::forward<Args>(args)...) {}
+  };
+
+  /// The S boxes in one aligned allocation, constructed in place (shards
+  /// are neither copyable nor movable). `built` counts the constructed
+  /// prefix, so a shard constructor that throws leaves nothing behind.
+  struct BoxArray {
+    Box* boxes = nullptr;
+    unsigned built = 0;
+
+    BoxArray() = default;
+    BoxArray(const BoxArray&) = delete;
+    BoxArray& operator=(const BoxArray&) = delete;
+    ~BoxArray() {
+      while (built > 0) boxes[--built].~Box();
+      ::operator delete(boxes, std::align_val_t{alignof(Box)});
+    }
   };
 
   static unsigned clamp_shards(unsigned requested, unsigned n) noexcept {
@@ -349,7 +370,7 @@ class ShardedCounterT {
   ShardPolicy policy_;
   unsigned num_shards_;
   bool compact_;
-  std::vector<std::unique_ptr<Box>> shards_;
+  BoxArray shards_;
   std::unique_ptr<PerProcess[]> per_process_;
 };
 

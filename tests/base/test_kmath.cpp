@@ -30,6 +30,36 @@ TEST(SatMul, ExactAtBoundary) {
   EXPECT_EQ(sat_mul(a, b), a * b);
 }
 
+TEST(SatMul, ProductOfExactlyTwoTo64MinusOne) {
+  // (2^32 − 1)(2^32 + 1) = 2^64 − 1 and 3 · (2^64 − 1)/3 = 2^64 − 1: the
+  // largest representable product is returned as is, not as saturation
+  // by accident of an off-by-one.
+  const std::uint64_t lo = (std::uint64_t{1} << 32) - 1;
+  const std::uint64_t hi = (std::uint64_t{1} << 32) + 1;
+  EXPECT_EQ(sat_mul(lo, hi), kU64Max);
+  EXPECT_EQ(sat_mul(hi, lo), kU64Max);
+  EXPECT_EQ(lo * hi, kU64Max);  // the exact product, not a wrap
+  EXPECT_EQ(sat_mul(3, kU64Max / 3), kU64Max);
+  EXPECT_EQ(3 * (kU64Max / 3), kU64Max);
+  // One below on either side stays exact.
+  EXPECT_EQ(sat_mul(lo, hi - 1), kU64Max - lo);
+  EXPECT_EQ(sat_mul(3, kU64Max / 3 - 1), kU64Max - 3);
+}
+
+TEST(SatMul, ProductOneAboveTwoTo64MinusOneSaturates) {
+  // 2^32 · 2^32 = 2^64 and 2^63 · 2 = 2^64 wrap to 0 unsaturated;
+  // (2^64 − 1)/3 + 1 times 3 is 2^64 + 2, which wraps to 2.
+  const std::uint64_t two32 = std::uint64_t{1} << 32;
+  EXPECT_EQ(sat_mul(two32, two32), kU64Max);
+  EXPECT_EQ(sat_mul(std::uint64_t{1} << 63, 2), kU64Max);
+  EXPECT_EQ(sat_mul(2, std::uint64_t{1} << 63), kU64Max);
+  EXPECT_EQ(sat_mul(3, kU64Max / 3 + 1), kU64Max);
+  EXPECT_EQ(sat_mul((std::uint64_t{1} << 32) + 1, two32), kU64Max);
+  static_assert(sat_mul(two32, two32) == kU64Max);
+  static_assert(sat_mul(two32 - 1, two32 + 1) == kU64Max);
+  static_assert(sat_mul(two32 - 1, two32) == kU64Max - two32 + 1);
+}
+
 TEST(SatAdd, Basics) {
   EXPECT_EQ(sat_add(2, 3), 5u);
   EXPECT_EQ(sat_add(kU64Max, 0), kU64Max);

@@ -384,5 +384,51 @@ TEST(KMultCounterMisc, ReadersOnlyNeverSetSwitches) {
   EXPECT_EQ(counter.first_unset_switch_unrecorded(), 0u);
 }
 
+// ReturnValue against lines 30–34 written out term by term, as first
+// implemented: one saturating power per term, overflow detected by
+// division. Both helpers are kept here so the reference shares no code
+// with core/help_pack.hpp or base/kmath.hpp.
+std::uint64_t reference_sat_mul(std::uint64_t a, std::uint64_t b) {
+  if (a == 0 || b == 0) return 0;
+  if (a > base::kU64Max / b) return base::kU64Max;
+  return a * b;
+}
+
+std::uint64_t reference_pow(std::uint64_t k, std::uint64_t e) {
+  std::uint64_t result = 1;
+  for (std::uint64_t i = 0; i < e && result != base::kU64Max; ++i) {
+    result = reference_sat_mul(result, k);
+  }
+  return result;
+}
+
+std::uint64_t reference_return_value(std::uint64_t k, std::uint64_t p,
+                                     std::uint64_t q) {
+  std::uint64_t ret =
+      base::sat_add(1, reference_sat_mul(p, reference_pow(k, q + 1)));
+  for (std::uint64_t l = 1; l <= q; ++l) {
+    ret = base::sat_add(ret, reference_pow(k, l + 1));
+  }
+  return reference_sat_mul(k, ret);
+}
+
+TEST(ReturnValue, MatchesTermByTermSumAtEveryPosition) {
+  for (const std::uint64_t k : {std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{5}, std::uint64_t{16},
+                                std::uint64_t{256}, kMaxSupportedK}) {
+    const KMultCounterT<base::DirectBackend> counter(1, k);
+    const std::uint64_t capacity = kmult_switch_capacity(k);
+    for (std::uint64_t h = 0; h < capacity; ++h) {
+      ASSERT_EQ(counter.return_value(h % k, h / k),
+                reference_return_value(k, h % k, h / k))
+          << "k=" << k << " h=" << h;
+    }
+    // The range reaches the saturated tail.
+    const std::uint64_t last = capacity - 1;
+    EXPECT_EQ(counter.return_value(last % k, last / k), base::kU64Max)
+        << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace approx::core

@@ -244,5 +244,56 @@ TEST(CorrectedCounterMisc, AccessorsAndGuarantee) {
   EXPECT_FALSE(KMultCounterCorrected(100, 3).accuracy_guaranteed());
 }
 
+// The read value against the layout's sum written out term by term, as
+// first implemented: one saturating power per term, overflow detected by
+// division. Both helpers are kept here so the reference shares no code
+// with core/help_pack.hpp or base/kmath.hpp.
+std::uint64_t reference_sat_mul(std::uint64_t a, std::uint64_t b) {
+  if (a == 0 || b == 0) return 0;
+  if (a > base::kU64Max / b) return base::kU64Max;
+  return a * b;
+}
+
+std::uint64_t reference_pow(std::uint64_t k, std::uint64_t e) {
+  std::uint64_t result = 1;
+  for (std::uint64_t i = 0; i < e && result != base::kU64Max; ++i) {
+    result = reference_sat_mul(result, k);
+  }
+  return result;
+}
+
+std::uint64_t reference_value_at_position(std::uint64_t k,
+                                          std::uint64_t position) {
+  std::uint64_t announced = position + 1;
+  if (position > k) {
+    const std::uint64_t q = (position - 1) / k;
+    const std::uint64_t p = position - q * k;
+    announced = k + 1;
+    for (std::uint64_t l = 1; l < q; ++l) {
+      announced = base::sat_add(announced, reference_pow(k, l + 1));
+    }
+    announced =
+        base::sat_add(announced, reference_sat_mul(p, reference_pow(k, q)));
+  }
+  return reference_sat_mul(k, announced);
+}
+
+TEST(CorrectedCounterValue, MatchesTermByTermSumAtEveryPosition) {
+  for (const std::uint64_t k : {std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{5}, std::uint64_t{16},
+                                std::uint64_t{256}, kMaxSupportedK}) {
+    const KMultCounterCorrectedT<base::DirectBackend> counter(1, k);
+    const std::uint64_t capacity = kmult_switch_capacity(k);
+    for (std::uint64_t position = 0; position < capacity; ++position) {
+      ASSERT_EQ(counter.value_at_position(position),
+                reference_value_at_position(k, position))
+          << "k=" << k << " position=" << position;
+    }
+    // The range reaches the saturated tail.
+    EXPECT_EQ(counter.value_at_position(capacity - 1), base::kU64Max)
+        << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace approx::core

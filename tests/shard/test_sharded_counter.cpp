@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "base/backend.hpp"
 #include "core/approx.hpp"
@@ -200,6 +201,115 @@ TEST(ShardedCounter, DirectBackendCompiles) {
       counter(4, 2, 2);
   for (int i = 0; i < 100; ++i) counter.increment(0);
   EXPECT_TRUE(core::within_mult_band(counter.read(1), 100, 2));
+}
+
+// --- memory layout -------------------------------------------------------
+
+constexpr std::uintptr_t kLine = 64;
+
+/// The cache lines [first, last] an object of `bytes` bytes at `p` spans.
+struct Lines {
+  std::uintptr_t first;
+  std::uintptr_t last;
+};
+
+Lines lines_of(const void* p, std::size_t bytes) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(p);
+  return {begin / kLine, (begin + bytes - 1) / kLine};
+}
+
+template <typename T>
+Lines lines_of(const T& object) {
+  return lines_of(&object, sizeof(T));
+}
+
+bool share_a_line(Lines a, Lines b) {
+  return a.first <= b.last && b.first <= a.last;
+}
+
+template <typename Sharded>
+void expect_shards_on_own_lines(Sharded& counter) {
+  const unsigned shards = counter.num_shards();
+  ASSERT_GT(shards, 1u);
+  for (unsigned s = 0; s < shards; ++s) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&counter.shard(s)) % kLine, 0u)
+        << "shard " << s;
+    for (unsigned t = s + 1; t < shards; ++t) {
+      EXPECT_FALSE(share_a_line(lines_of(counter.shard(s)),
+                                lines_of(counter.shard(t))))
+          << "shards " << s << " and " << t;
+    }
+  }
+}
+
+TEST(ShardedCounterLayout, ShardsAreLineAlignedAndNeverShareALine) {
+  ShardedCounterT<core::KMultCounterCorrectedT, base::DirectBackend> mult(
+      8, 3, 4);
+  expect_shards_on_own_lines(mult);
+  ShardedKMult mult_instrumented(8, 3, 4);
+  expect_shards_on_own_lines(mult_instrumented);
+  ShardedCounterT<core::KAdditiveCounterT, base::DirectBackend> add(8, 16, 4);
+  expect_shards_on_own_lines(add);
+  ShardedCounterT<exact::FetchAddCounterT, base::DirectBackend> fetch_add(
+      8, 0, 4);
+  expect_shards_on_own_lines(fetch_add);
+  ShardedFetchAdd fetch_add_rotating(8, 0, 4, ShardPolicy::kRoundRobin);
+  expect_shards_on_own_lines(fetch_add_rotating);
+}
+
+/// The k-multiplicative block: every process's Local sits on lines of
+/// its own — no other Local, switch or H register — and each process's
+/// writable state (Local, H row, helping baseline) is on lines no other
+/// process writes.
+template <typename Counter>
+void expect_kmult_block_layout(const Counter& counter) {
+  const auto& block = counter.block_unrecorded();
+  const unsigned n = counter.num_processes();
+  std::vector<Lines> switches;
+  for (std::uint64_t i = 0; i < block.capacity(); ++i) {
+    switches.push_back(lines_of(block.switch_at(i)));
+  }
+  // What process `pid` writes: its Local, H[pid] and its baseline.
+  const auto written_by = [&](unsigned pid) {
+    return std::vector<Lines>{
+        lines_of(block.local(pid)), lines_of(block.h(pid)),
+        lines_of(block.baseline(pid), n * sizeof(std::uint64_t))};
+  };
+  for (unsigned pid = 0; pid < n; ++pid) {
+    const Lines local = lines_of(block.local(pid));
+    for (const Lines& bit : switches) {
+      ASSERT_FALSE(share_a_line(local, bit)) << "Local " << pid;
+    }
+    for (unsigned other = 0; other < n; ++other) {
+      EXPECT_FALSE(share_a_line(local, lines_of(block.h(other))))
+          << "Local " << pid << " vs H[" << other << "]";
+      if (other == pid) continue;
+      EXPECT_FALSE(share_a_line(local, lines_of(block.local(other))))
+          << "Locals " << pid << " and " << other;
+      for (const Lines& mine : written_by(pid)) {
+        for (const Lines& theirs : written_by(other)) {
+          EXPECT_FALSE(share_a_line(mine, theirs))
+              << "pids " << pid << " and " << other;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedCounterLayout, KMultBlockKeepsEachProcessOnItsOwnLines) {
+  for (const unsigned n : {1u, 3u, 5u, 9u}) {
+    expect_kmult_block_layout(
+        core::KMultCounterCorrectedT<base::DirectBackend>(n, 3));
+    expect_kmult_block_layout(core::KMultCounterCorrected(n, 3));
+    expect_kmult_block_layout(core::KMultCounterT<base::DirectBackend>(n, 2));
+    expect_kmult_block_layout(core::KMultCounter(n, 2));
+  }
+  // The shards of a sharded k-mult counter each carry such a block.
+  ShardedCounterT<core::KMultCounterCorrectedT, base::DirectBackend> sharded(
+      3, 2, 4);
+  for (unsigned s = 0; s < sharded.num_shards(); ++s) {
+    expect_kmult_block_layout(sharded.shard(s));
+  }
 }
 
 }  // namespace
