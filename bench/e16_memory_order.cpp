@@ -22,9 +22,10 @@
 //      watermark-update hot path is the write);
 //   3. the telemetry fleet: aggregator frames/s over 48 counters × 4
 //      shards while workers flood increments, seq_cst vs relaxed;
-//   4. the single-pass collect_into (registry flat-table walk, zero
-//      allocation) vs the allocating snapshot_all on the same fleet —
-//      the PR's aggregator-latency follow-up, measured.
+//   4. the single-pass aggregator collect (registry flat-table walk
+//      into a recycled frame, zero sample allocation) vs the allocating
+//      snapshot_all on the same fleet. Its rows keep the historical
+//      "collect_into" label: they are baseline keys.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -127,15 +128,14 @@ double fleet_frames_per_sec(std::uint64_t frames) {
       }
     });
   }
-  shard::TelemetryFrame frame;
   for (std::uint64_t i = 0; i < frames / 20 + 1; ++i) {
-    aggregator.collect_into(frame);  // warmup
+    (void)aggregator.collect_shared();  // warmup
   }
   double best = 0.0;
   for (int rep = 0; rep < 2; ++rep) {
     const double seconds = bench::time_seconds([&] {
       for (std::uint64_t i = 0; i < frames; ++i) {
-        aggregator.collect_into(frame);
+        (void)aggregator.collect_shared();
       }
     });
     best = std::max(best, static_cast<double>(frames) / seconds);
@@ -167,7 +167,7 @@ const bench::Experiment kExperiment{
     "register flushes) where x86 seq_cst stores pay a full fence each; "
     "~1.0x for the bare fetch&add cell on x86 (identical lock-prefixed "
     "RMW) and for read-dominated paths (x86 seq_cst loads are already "
-    "plain); the single-pass collect_into beats the allocating "
+    "plain); the single-pass collect beats the allocating "
     "snapshot_all by skipping the map walk, string copies and "
     "metadata virtuals per frame",
     [](const bench::Options& options, bench::Report& report) {
@@ -367,23 +367,22 @@ const bench::Experiment kExperiment{
                              bench::num(relaxed_fps / seqcst_fps, 2)});
       }
 
-      // Single-pass collect_into vs the allocating snapshot_all, same
-      // fleet, quiescent (isolates the frame-assembly cost itself).
+      // Single-pass collect vs the allocating snapshot_all, same fleet,
+      // quiescent (isolates the frame-assembly cost itself).
       {
         const std::uint64_t frames = bench::scaled_ops(options, 4'000);
         shard::RegistryT<RelaxedDirectBackend> registry(kMaxThreads);
         build_fleet(registry);
         shard::AggregatorT<RelaxedDirectBackend> aggregator(registry,
                                                             kFleetPid);
-        shard::TelemetryFrame frame;
-        aggregator.collect_into(frame);  // warm caches + storage
+        (void)aggregator.collect_shared();  // warm caches + storage
         double reuse_secs = 1e300;
         double alloc_secs = 1e300;
         volatile std::size_t sink = 0;
         for (int rep = 0; rep < kReps; ++rep) {
           reuse_secs = std::min(reuse_secs, bench::time_seconds([&] {
                                   for (std::uint64_t i = 0; i < frames; ++i) {
-                                    aggregator.collect_into(frame);
+                                    (void)aggregator.collect_shared();
                                   }
                                 }));
           alloc_secs = std::min(alloc_secs, bench::time_seconds([&] {

@@ -64,8 +64,9 @@ std::uint64_t thread_cpu_ns() {
 class ServerCore {
  public:
   struct Hooks {
-    /// Runs one sequenced aggregator pass into the reused frame.
-    std::function<void(shard::TelemetryFrame&)> collect;
+    /// Runs one sequenced aggregator pass and returns its published,
+    /// immutable frame (shared with the aggregator's latest()).
+    std::function<std::shared_ptr<const shard::TelemetryFrame>()> collect;
     /// Appends (index, value) for entries changed in passes > `since`,
     /// valid against the name table of `expected_version`. Returns the
     /// sequence the reported values are complete up to — the delta's
@@ -227,6 +228,8 @@ class ServerCore {
     out.subscribes_received =
         subscribes_received_.load(std::memory_order_relaxed);
     out.resyncs_received = resyncs_received_.load(std::memory_order_relaxed);
+    out.unfiltered_full_encodes =
+        unfiltered_full_encodes_.load(std::memory_order_relaxed);
     out.filtered_full_encodes =
         filtered_full_encodes_.load(std::memory_order_relaxed);
     out.filtered_delta_encodes =
@@ -271,6 +274,17 @@ class ServerCore {
              std::uint64_t b = 0) noexcept {
     if (trace_ != nullptr) trace_->record(kind, a, b);
   }
+  /// A lazily-encoded full frame, cached per pass: encoded at most once
+  /// per tick, and only when something takes it (see cached_full). Its
+  /// own tiny mutex: only re-basing paths (a new or re-basing
+  /// subscriber, RESYNC, a failed catch-up walk, the shm ring on a
+  /// delta-less tick) ever take it — never the steady delta stream.
+  struct FullCache {
+    std::mutex mutex;
+    std::shared_ptr<const std::string> full;  // guarded by mutex
+    std::uint64_t seq = 0;                    // pass `full` encodes
+  };
+
   /// One group's published per-tick state: an immutable record the
   /// collector builds each pass and swings into FilterGroup::tick by
   /// RCU pointer swap, retiring the superseded one through the epoch
@@ -291,10 +305,10 @@ class ServerCore {
     std::uint64_t delta_seq = 0;
     std::uint64_t delta_base = 0;
     std::uint64_t delta_regver = 0;
-    /// The pass's collected frame (one copy per tick, shared by every
-    /// group's tick) and the selection it was filtered with — the
-    /// coherent (snapshot, selection, sel_regver, wire) tuple lazy
-    /// filtered fulls encode from.
+    /// The pass's collected frame (the aggregator's published frame,
+    /// shared by pointer with every group's tick) and the selection it
+    /// was filtered with — the coherent (snapshot, selection,
+    /// sel_regver, wire) tuple lazy filtered fulls encode from.
     std::shared_ptr<const shard::TelemetryFrame> snapshot;
     std::shared_ptr<const std::vector<std::uint64_t>> selection;
     std::uint64_t sel_regver = 0;
@@ -336,12 +350,7 @@ class ServerCore {
     /// holding a tick pointer always also holds the group shared_ptr
     /// that keeps this destructor from running).
     std::atomic<const GroupTick*> tick{nullptr};
-    // Lazily-encoded filtered full, cached per (group, pass). Its own
-    // tiny mutex: only re-basing subscribers (RESYNC, wire bump,
-    // first frame) ever take it — never the steady delta stream.
-    std::mutex full_mutex;
-    std::shared_ptr<const std::string> full;  // guarded by full_mutex
-    std::uint64_t full_seq = 0;
+    FullCache full;  // the group's lazily-encoded filtered full
 
     ~FilterGroup() { delete tick.load(std::memory_order_acquire); }
   };
@@ -361,7 +370,9 @@ class ServerCore {
     std::uint64_t base_seq = 0;  // shared delta's basis (previous tick)
     std::uint64_t registry_version = 0;
     std::uint64_t collect_ns = 0;
-    std::shared_ptr<const std::string> full;
+    /// The pass's collected frame; the unfiltered full is encoded from
+    /// it on demand (unfiltered_full). Null before the first pass.
+    std::shared_ptr<const shard::TelemetryFrame> frame;
     std::shared_ptr<const std::string> delta;  // null: no shared delta
     /// Newest rendered metricsz page (a full kMetricsz stream frame) and
     /// the collect sequence it was rendered at. Carried forward across
@@ -436,7 +447,6 @@ class ServerCore {
 
   void collector_loop() {
     t_wpid = 0;  // the collector's slot in the obs wpid space
-    shard::TelemetryFrame frame;  // reused; zero-alloc at steady state
     std::vector<DeltaEntry> changed;
     std::vector<DeltaEntry> group_subset;  // per-group intersect scratch
     std::uint64_t prev_seq = 0;
@@ -447,26 +457,26 @@ class ServerCore {
     std::string metricsz_text;  // render scratch
     while (running_.load(std::memory_order_acquire)) {
       const auto tick_start = std::chrono::steady_clock::now();
-      hooks_.collect(frame);
+      // The aggregator's published frame, shared by pointer with every
+      // consumer below — never copied.
+      const std::shared_ptr<const shard::TelemetryFrame> shared =
+          hooks_.collect();
+      const shard::TelemetryFrame& frame = *shared;
       const auto collect_done = std::chrono::steady_clock::now();
       const std::uint64_t collect_ns = steady_now_ns();
       PublishedFrame pub;
       pub.seq = frame.sequence;
       pub.registry_version = frame.registry_version;
       pub.collect_ns = collect_ns;
+      pub.frame = shared;
       // Encode buffers are freshly allocated per tick and retired by
       // refcount once the last subscriber drains them: a slow reader
       // holding tick N's bytes never blocks (or races with) tick N+1's
       // encode. Deliberately NOT a use_count()==1 reuse scheme — the
       // relaxed use_count load would not order a subscriber's last read
-      // of the buffer before our overwrite. Two buffers (≈ one wire
-      // frame each) per tick at tens of milliseconds is noise next to
-      // the collect pass itself.
-      {
-        auto full = std::make_shared<std::string>();
-        encode_full_frame(frame, collect_ns, *full);
-        pub.full = std::move(full);
-      }
+      // of the buffer before our overwrite. The unfiltered full is not
+      // encoded here at all: at steady state nobody takes it, so it is
+      // encoded on demand, at most once per tick (unfiltered_full).
       bool changed_valid = false;  // the changed walk succeeded
       if (prev_seq != 0) {
         changed.clear();
@@ -515,16 +525,9 @@ class ServerCore {
         const base::EpochDomain::Guard eguard(epochs_);
         const GroupTable* table =
             group_table_.load(std::memory_order_acquire);
-        if (!table->by_key.empty()) {
-          // One frame copy per tick (O(fleet)), shared by every
-          // group's tick; built from the collector-private frame with
-          // no lock anywhere near it.
-          const std::shared_ptr<const shard::TelemetryFrame> snapshot =
-              std::make_shared<shard::TelemetryFrame>(frame);
-          for (const auto& [key, group] : table->by_key) {
-            collector_group_pass(*group, frame, snapshot, collect_ns,
-                                 changed_valid, changed, group_subset);
-          }
+        for (const auto& [key, group] : table->by_key) {
+          collector_group_pass(*group, shared, collect_ns, changed_valid,
+                               changed, group_subset);
         }
       }
       // Reap tables/ticks whose grace period has passed — outside the
@@ -532,12 +535,15 @@ class ServerCore {
       epochs_.reclaim();
       // The shm ring gets the same bytes the unfiltered TCP stream
       // carries this tick (the shared delta when one exists, else the
-      // full), minus the u32le stream prefix — ring slots carry their
-      // own length, and readers hand the payload straight to the view.
+      // full — encoded here, and cached for any TCP subscriber that
+      // needs it this tick), minus the u32le stream prefix — ring slots
+      // carry their own length, and readers hand the payload straight
+      // to the view.
       if (shm_.active() && !ring_broken_.load(std::memory_order_relaxed)) {
-        const std::string& bytes = pub.delta ? *pub.delta : *pub.full;
+        const std::shared_ptr<const std::string> bytes =
+            pub.delta ? pub.delta : unfiltered_full(pub);
         if (shm_.publish(
-                std::string_view(bytes).substr(kFramePrefixBytes))) {
+                std::string_view(*bytes).substr(kFramePrefixBytes))) {
           shm_frames_published_.fetch_add(1, std::memory_order_relaxed);
         } else {
           shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -1137,7 +1143,7 @@ class ServerCore {
       // RESYNC (or a pass-all re-subscribe): the next frame is a fresh
       // full — no waiting for a table change. Always a strictly newer
       // sequence (the pub.seq guard above), so the view applies it.
-      client.out = pub.full;
+      client.out = unfiltered_full(pub);
       client.force_full = false;
       full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
       if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
@@ -1177,12 +1183,12 @@ class ServerCore {
         catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
         if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
       } else {
-        client.out = pub.full;
+        client.out = unfiltered_full(pub);
         full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
         if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
       }
     } else {
-      client.out = pub.full;  // new subscriber or the table changed
+      client.out = unfiltered_full(pub);  // new subscriber or table change
       full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
       if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
     }
@@ -1241,8 +1247,8 @@ class ServerCore {
       if (tick_pass <= client.sent_seq) return;  // re-base next tick
       if (!tick_snapshot || !tick_selection) return;  // empty registry
       std::shared_ptr<const std::string> full =
-          group_full(*client.group, tick_snapshot, tick_selection,
-                     group_wire, tick_pass, tick_collect_ns);
+          cached_full(client.group->full, *tick_snapshot,
+                      tick_selection.get(), group_wire, tick_collect_ns);
       set_inflight(client, std::move(full));
       client.sent_seq = tick_pass;
       client.sent_regver = group_wire;
@@ -1293,27 +1299,42 @@ class ServerCore {
     flush(client);
   }
 
-  /// The group's filtered full for the given published tick, encoding
-  /// it at most once (lazily, cached per group+pass) no matter how many
-  /// subscribers need it. The inputs all come from ONE GroupTick, so
-  /// the (snapshot, selection, wire label, stamp) tuple is coherent by
-  /// construction. The per-group cache mutex guards only this re-base
-  /// path — the steady delta stream never takes it.
-  std::shared_ptr<const std::string> group_full(
-      FilterGroup& group,
-      const std::shared_ptr<const shard::TelemetryFrame>& snapshot,
-      const std::shared_ptr<const std::vector<std::uint64_t>>& selection,
-      std::uint64_t wire_regver, std::uint64_t pass_seq,
+  /// The full frame of `frame` — filtered by `selection` and labeled
+  /// `wire_regver` for a group, the whole frame (selection null, labeled
+  /// with the frame's own version) for unfiltered subscribers — encoding
+  /// it at most once per pass no matter how many takers need it: the
+  /// lazy, per-pass cache both full kinds share. A taker holding an
+  /// older pass's inputs (it raced the next publication) gets a fresh
+  /// encode of those inputs; the cache keeps the newest pass. The inputs
+  /// come from ONE published tick, so the (frame, selection, label,
+  /// stamp) tuple is coherent by construction.
+  std::shared_ptr<const std::string> cached_full(
+      FullCache& cache, const shard::TelemetryFrame& frame,
+      const std::vector<std::uint64_t>* selection, std::uint64_t wire_regver,
       std::uint64_t collect_ns) {
-    std::lock_guard lock(group.full_mutex);
-    if (group.full && group.full_seq == pass_seq) return group.full;
+    std::lock_guard lock(cache.mutex);
+    if (cache.full && cache.seq == frame.sequence) return cache.full;
     auto buf = std::make_shared<std::string>();
-    encode_full_frame_filtered(*snapshot, *selection, collect_ns,
-                               wire_regver, *buf);
-    group.full = std::move(buf);
-    group.full_seq = pass_seq;
-    filtered_full_encodes_.fetch_add(1, std::memory_order_relaxed);
-    return group.full;
+    if (selection != nullptr) {
+      encode_full_frame_filtered(frame, *selection, collect_ns, wire_regver,
+                                 *buf);
+      filtered_full_encodes_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      encode_full_frame(frame, collect_ns, *buf);
+      unfiltered_full_encodes_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (frame.sequence >= cache.seq) {
+      cache.full = buf;
+      cache.seq = frame.sequence;
+    }
+    return buf;
+  }
+
+  /// The published tick's unfiltered full, encoded on first demand.
+  std::shared_ptr<const std::string> unfiltered_full(
+      const PublishedFrame& pub) {
+    return cached_full(unfiltered_full_, *pub.frame, nullptr,
+                       pub.registry_version, pub.collect_ns);
   }
 
   /// Rebuilds the group's flat-index selection when the registry's
@@ -1353,11 +1374,12 @@ class ServerCore {
   /// immutable GroupTick (RCU pointer swap; the superseded tick retires
   /// through the epoch domain). Collector thread only.
   void collector_group_pass(
-      FilterGroup& group, const shard::TelemetryFrame& frame,
+      FilterGroup& group,
       const std::shared_ptr<const shard::TelemetryFrame>& snapshot,
       std::uint64_t collect_ns, bool changed_valid,
       const std::vector<DeltaEntry>& changed,
       std::vector<DeltaEntry>& subset) {
+    const shard::TelemetryFrame& frame = *snapshot;
     // Only the collector publishes ticks, so a relaxed read of our own
     // last store is exact.
     const bool first_pass =
@@ -1460,6 +1482,9 @@ class ServerCore {
   std::atomic<unsigned> next_worker_{0};
   std::mutex published_mutex_;
   PublishedFrame published_;
+  /// The current tick's unfiltered full (PublishedFrame::frame encoded),
+  /// built by its first taker.
+  FullCache unfiltered_full_;
   /// Filter groups, keyed by canonical filter (wire v2), RCU-published:
   /// the current immutable GroupTable hangs off this atomic pointer.
   /// Readers — the collector's pass and (indirectly, via the per-group
@@ -1488,6 +1513,7 @@ class ServerCore {
   std::atomic<std::uint64_t> acks_received_{0};
   std::atomic<std::uint64_t> subscribes_received_{0};
   std::atomic<std::uint64_t> resyncs_received_{0};
+  std::atomic<std::uint64_t> unfiltered_full_encodes_{0};
   std::atomic<std::uint64_t> filtered_full_encodes_{0};
   std::atomic<std::uint64_t> filtered_delta_encodes_{0};
   std::atomic<std::uint64_t> group_deltas_suppressed_{0};
@@ -1535,9 +1561,7 @@ SnapshotServerT<Backend>::SnapshotServerT(
     ServerOptions options)
     : aggregator_(registry, pid, /*sequenced=*/true), registry_(registry) {
   typename detail::ServerCore::Hooks hooks;
-  hooks.collect = [this](shard::TelemetryFrame& frame) {
-    aggregator_.collect_into(frame);
-  };
+  hooks.collect = [this] { return aggregator_.collect_shared(); };
   hooks.changed_since = [this](std::uint64_t since,
                                std::uint64_t expected_version,
                                std::vector<DeltaEntry>& out) {

@@ -4,13 +4,19 @@
 // aggregator over a counter registry and fans its frames out to TCP
 // subscribers on the loopback interface:
 //
-//   * collector thread — every `period`, one sequenced collect_into
-//     pass into a reused double-buffered frame (the aggregator's
-//     scratch/latest pair: zero collect allocations at steady state,
-//     and the pass feeds the registry's changed-since tracking), then
-//     ONE full-frame encode and ONE delta-since-previous-tick encode
-//     shared by every up-to-date subscriber. Encoded byte buffers are
-//     freshly allocated per tick and retired by refcount when the last
+//   * collector thread — every `period`, one sequenced aggregator pass
+//     (collect_shared: a recycled frame, filled once and published
+//     as-is — no frame copy anywhere; the pass feeds the registry's
+//     changed-since tracking), then ONE delta-since-previous-tick
+//     encode shared by every up-to-date subscriber. The collected
+//     frame itself is shared by pointer with the published tick, the
+//     filter groups' ticks and the shm path. The unfiltered full frame
+//     is encoded lazily, at most once per tick and only when something
+//     takes it — a new or re-basing subscriber, a RESYNC, a failed
+//     catch-up walk, or the shm ring on a tick without a shared delta
+//     (ServerStats::unfiltered_full_encodes) — through the same
+//     per-tick cache filtered fulls use. Encoded byte buffers are
+//     freshly allocated and retired by refcount when the last
 //     subscriber drains them, so a slow reader holding an old tick's
 //     bytes never blocks the next encode.
 //
@@ -184,6 +190,10 @@ struct ServerStats {
   // Wire v2 control channel + filter groups.
   std::uint64_t subscribes_received = 0;
   std::uint64_t resyncs_received = 0;
+  /// Unfiltered full-frame encodes actually performed. Lazy: zero on a
+  /// tick nobody needs a full, and at most one per tick however many
+  /// subscribers (and the shm ring) take it.
+  std::uint64_t unfiltered_full_encodes = 0;
   /// Distinct filtered encodes actually performed. The sharing pins:
   /// K identically-filtered in-step subscribers over T ticks cost ~T
   /// delta encodes (not K·T) and ≤ a handful of full encodes.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -279,7 +280,18 @@ TYPED_TEST(SeqlockRingStress, ConcurrentWriterAndReadersStayConsistent) {
   while (readers_started.load(std::memory_order_acquire) < 2) {
     std::this_thread::yield();
   }
-  for (std::uint64_t i = 0; i < kFrames; ++i) {
+  // A started reader may still not have polled once: on a loaded host
+  // the writer can publish every frame before either reader reads one.
+  // So keep publishing past kFrames until a reader has actually read a
+  // frame. The deadline only bounds a broken ring: it ends the run and
+  // the frames_read check below fails.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto none_read_yet = [&] {
+    return frames_read.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline;
+  };
+  for (std::uint64_t i = 0; i < kFrames || none_read_yet(); ++i) {
     const std::string frame = make_frame(i, kCap);
     ASSERT_TRUE(writer.publish(frame.data(), frame.size()));
     if (i % 64 == 0) std::this_thread::yield();  // let readers catch some

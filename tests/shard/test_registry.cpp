@@ -6,8 +6,10 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -564,6 +566,94 @@ TEST(Aggregator, SequencePublicationOrdersPayload) {
   }
   stop.store(true, std::memory_order_release);
   collector.join();
+}
+
+TEST(Aggregator, HeldFrameIsNeverWrittenByLaterPasses) {
+  // Frames are recycled, so a frame a reader still holds must stay out
+  // of the pool: later passes fill other frames, never this one.
+  RegistryT<base::DirectBackend> registry(2);
+  constexpr int kCounters = 8;
+  std::vector<AnyCounter*> counters;
+  for (int c = 0; c < kCounters; ++c) {
+    counters.push_back(&registry.create("c" + std::to_string(c),
+                                        {ErrorModel::kExact, 0, 1}));
+    counters.back()->increment(0);
+  }
+  AggregatorT<base::DirectBackend> aggregator(registry, 1, /*sequenced=*/true);
+  const std::shared_ptr<const TelemetryFrame> held =
+      aggregator.collect_shared();
+  const TelemetryFrame copy = *held;  // what the reader saw
+  for (int pass = 0; pass < 3; ++pass) {
+    for (AnyCounter* counter : counters) counter->increment(0);
+    const std::shared_ptr<const TelemetryFrame> next =
+        aggregator.collect_shared();
+    ASSERT_NE(next.get(), held.get());
+    for (int c = 0; c < kCounters; ++c) {
+      EXPECT_EQ(next->samples[c].value, static_cast<std::uint64_t>(pass + 2));
+    }
+  }
+  EXPECT_EQ(held->sequence, copy.sequence);
+  ASSERT_EQ(held->samples.size(), copy.samples.size());
+  for (std::size_t c = 0; c < copy.samples.size(); ++c) {
+    EXPECT_EQ(held->samples[c].name, copy.samples[c].name);
+    EXPECT_EQ(held->samples[c].value, 1u);
+  }
+  EXPECT_EQ(aggregator.latest().sequence, 4u);
+}
+
+TEST(Aggregator, ReleasedFramesAreReused) {
+  // With no frame held across passes the pool needs exactly two: the
+  // published latest() and the one the next pass fills.
+  RegistryT<base::DirectBackend> registry(2);
+  AnyCounter& hits = registry.create("hits", {ErrorModel::kExact, 0, 1});
+  AggregatorT<base::DirectBackend> aggregator(registry, 1, /*sequenced=*/true);
+  for (int pass = 0; pass < 100; ++pass) {
+    hits.increment(0);
+    (void)aggregator.collect_shared();
+    (void)aggregator.collect();  // the copying form recycles too
+  }
+  EXPECT_LE(aggregator.frames_allocated(), 2u);
+  EXPECT_EQ(aggregator.frames_collected(), 200u);
+  EXPECT_EQ(aggregator.latest().samples.at(0).value, 100u);
+}
+
+TEST(Aggregator, RecycledPublicationOrdersPayloadWhileFramesAreHeld) {
+  // The release/acquire contract on the recycled path: frames_collected()
+  // ≥ N still implies latest().sequence ≥ N while the collecting side
+  // keeps its last few frames alive (so passes recycle among a larger
+  // pool), and a published frame is never rewritten under a reader:
+  // one increment per pass makes every frame's value its own sequence.
+  RegistryT<base::DirectBackend> registry(2);
+  AnyCounter& counter = registry.create("c", {ErrorModel::kExact, 0, 1});
+  AggregatorT<base::DirectBackend> aggregator(registry, 1);
+  std::atomic<bool> stop{false};
+  std::thread collector([&] {
+    std::deque<std::shared_ptr<const TelemetryFrame>> held;
+    while (!stop.load(std::memory_order_acquire)) {
+      counter.increment(0);
+      held.push_back(aggregator.collect_shared());
+      if (held.size() > 3) held.pop_front();
+      for (const auto& frame : held) {
+        ASSERT_EQ(frame->samples.at(0).value, frame->sequence);
+      }
+    }
+  });
+  std::uint64_t observed = 0;
+  // EXPECT + stop on the first failure: the collector must still be
+  // joined (a failed ASSERT here would leave it running).
+  for (int check = 0; check < 20'000 && !HasFailure(); ++check) {
+    const std::uint64_t count = aggregator.frames_collected();
+    const TelemetryFrame frame = aggregator.latest();
+    EXPECT_GE(frame.sequence, count) << "sequence published before payload";
+    EXPECT_GE(frame.sequence, observed) << "latest() regressed";
+    observed = frame.sequence;
+    if (frame.sequence != 0) {
+      EXPECT_EQ(frame.samples.at(0).value, frame.sequence);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  collector.join();
+  EXPECT_LE(aggregator.frames_allocated(), 5u);
 }
 
 TEST(Aggregator, PullModeFramesAreSequencedAndSelfDescribing) {

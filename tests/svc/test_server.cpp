@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1250,6 +1251,172 @@ TEST(SnapshotServer, FilteredViewConvergesWhenCreatesRaceTheChangedWalk) {
   for (const std::string& entry : stale) report += "\n  " + entry;
   EXPECT_TRUE(stale.empty())
       << stale.size() << " filtered entries never converged:" << report;
+  server.stop();
+}
+
+// --- Lazy unfiltered fulls ------------------------------------------------
+// The collector encodes no unfiltered full per tick: one is encoded on
+// demand, at most once per tick, and only when something takes it.
+
+TEST(SnapshotServer, InStepSubscriberCostsNoFullEncodes) {
+  shard::RegistryT<base::DirectBackend> registry(2);
+  shard::AnyCounter& hits = registry.create("hits", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;  // shm ring on (the default): it takes deltas too
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  ASSERT_TRUE(client.poll_frame(kFrameTimeout));  // the joining full
+  ASSERT_EQ(client.view().full_frames(), 1u);
+  const std::uint64_t seq_joined = client.view().sequence();
+  const std::uint64_t encodes_joined = server.stats().unfiltered_full_encodes;
+  EXPECT_GE(encodes_joined, 1u);
+  for (int i = 0; i < 50; ++i) {
+    hits.increment(0);
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  EXPECT_GE(client.view().sequence(), seq_joined + 50);
+  EXPECT_EQ(client.view().full_frames(), 1u);
+  EXPECT_EQ(server.stats().unfiltered_full_encodes, encodes_joined)
+      << "a full was encoded on a tick nobody needed one";
+  server.stop();
+}
+
+/// Options for a server that ticks exactly once during a test: every
+/// subscriber is served from pass 1, and a frame that waited for a
+/// second tick would not arrive within kFrameTimeout. No shm ring, so
+/// nothing but subscribers takes a full.
+ServerOptions one_tick_options() {
+  ServerOptions options;
+  options.period = 3600s;
+  options.shm_enable = false;
+  return options;
+}
+
+TEST(SnapshotServer, SubscribersJoiningInOneTickShareOneFullEncode) {
+  constexpr int kSubscribers = 8;
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("c", {ErrorModel::kExact, 0, 1});
+  SnapshotServer server(registry, 1, one_tick_options());
+  ASSERT_TRUE(server.start());
+  while (server.aggregator().frames_collected() == 0) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::vector<std::unique_ptr<TelemetryClient>> clients;
+  for (int i = 0; i < kSubscribers; ++i) {
+    clients.push_back(std::make_unique<TelemetryClient>());
+    ASSERT_TRUE(clients.back()->connect(server.port()));
+  }
+  for (auto& client : clients) {
+    ASSERT_TRUE(client->poll_frame(kFrameTimeout));
+    EXPECT_EQ(client->view().sequence(), 1u);
+    EXPECT_EQ(client->view().full_frames(), 1u);
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_collected, 1u);
+  EXPECT_EQ(stats.full_frames_sent, static_cast<std::uint64_t>(kSubscribers));
+  EXPECT_EQ(stats.unfiltered_full_encodes, 1u);
+  server.stop();
+}
+
+TEST(SnapshotServer, LateJoinerGetsTheTickPublishedWhenItJoined) {
+  // Pass 1 is published with no subscriber and no ring, so no full
+  // exists when the joiner arrives. It must still get its first frame
+  // from pass 1, encoded on demand, not wait for pass 2.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  shard::AnyCounter& c = registry.create("c", {ErrorModel::kExact, 0, 1});
+  c.increment(0);
+  SnapshotServer server(registry, 1, one_tick_options());
+  ASSERT_TRUE(server.start());
+  while (server.aggregator().frames_collected() == 0) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(50ms);  // join well after the publication
+  EXPECT_EQ(server.stats().unfiltered_full_encodes, 0u);
+
+  TelemetryClient late;
+  ASSERT_TRUE(late.connect(server.port()));
+  ASSERT_TRUE(late.poll_frame(kFrameTimeout));
+  EXPECT_EQ(late.view().sequence(), 1u);
+  EXPECT_EQ(late.view().full_frames(), 1u);
+  ASSERT_EQ(late.view().samples().size(), 1u);
+  EXPECT_EQ(late.view().samples()[0].value, 1u);
+  EXPECT_EQ(server.stats().frames_collected, 1u);
+  EXPECT_EQ(server.stats().unfiltered_full_encodes, 1u);
+  server.stop();
+}
+
+TEST(SnapshotServer, ResyncIsServedByAnOnDemandFullEncode) {
+  shard::RegistryT<base::DirectBackend> registry(2);
+  shard::AnyCounter& c = registry.create("c", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.shm_enable = false;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  for (int i = 0; i < 3; ++i) {
+    c.increment(0);
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  const std::uint64_t fulls_before = client.view().full_frames();
+  const std::uint64_t encodes_before = server.stats().unfiltered_full_encodes;
+  ASSERT_TRUE(client.request_resync());
+  // Frames already buffered before the server read the RESYNC land
+  // first; how many depends on scheduling, so the bound is generous.
+  // (ResyncProducesFreshFullWithinATick pins the latency.)
+  bool resynced = false;
+  for (int i = 0; i < 400 && !resynced; ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    resynced = client.view().full_frames() > fulls_before;
+  }
+  EXPECT_TRUE(resynced) << "RESYNC never returned a full";
+  EXPECT_GT(server.stats().unfiltered_full_encodes, encodes_before);
+  server.stop();
+}
+
+TEST(SnapshotServer, ShmRingGetsAFullOnACreateTick) {
+  // A create leaves its tick without a shared delta, so the ring must
+  // take the (lazily encoded) full, and a ring consumer re-bases from
+  // it without any TCP full.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("first", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  ASSERT_TRUE(client.request_shm());
+  bool riding = false;
+  for (int i = 0; i < 200 && !riding; ++i) {
+    if (!client.poll_frame(kFrameTimeout)) break;
+    riding = client.shm_active() && client.shm_frames() >= 1;
+  }
+  if (!riding) {
+    server.stop();
+    GTEST_SKIP() << "no healthy shm ring in this environment";
+  }
+  const std::uint64_t view_fulls = client.view().full_frames();
+  const ServerStats before = server.stats();
+
+  registry.create("second", {ErrorModel::kExact, 0, 1});
+  for (int i = 0; i < 200 && client.view().samples().size() < 2; ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  ASSERT_EQ(client.view().samples().size(), 2u);
+  EXPECT_TRUE(client.shm_active());
+  EXPECT_GT(client.view().full_frames(), view_fulls);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.full_frames_sent, before.full_frames_sent)
+      << "the re-basing full went over TCP, not the ring";
+  EXPECT_GT(after.unfiltered_full_encodes, before.unfiltered_full_encodes);
+  EXPECT_GT(after.shm_frames_published, before.shm_frames_published);
   server.stop();
 }
 
