@@ -1,7 +1,7 @@
 // E20 — the stats layer under load: the wait-free histogram's record
 // path vs the obvious lock, and what vector entries cost on the wire.
 //
-// Two questions, one per section:
+// Three questions, one per section:
 //
 //   1. Record throughput — HistogramT<DirectBackend> (S = 8 sharded
 //      k-additive buckets, k = 1024) vs a std::mutex around a plain
@@ -21,9 +21,17 @@
 //      scenario. Registry change tracking compares whole bucket
 //      vectors, so an idle histogram must cost zero delta bytes — the
 //      property that makes vector entries safe to deploy fleet-wide.
+//   3. Delta build cost (layer L3) — ns per changed entry of one tick's
+//      changed walk + delta encode, 4096 exact counters all changed,
+//      median of 21 passes: the server's path (the walk yields row
+//      refs, the encoder reads values from the collected frame) next to
+//      the DeltaEntry path it replaced (every changed row copied into a
+//      list first). Both paths run on every pass, in alternating order.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,28 +131,66 @@ double record_throughput_mops(unsigned recorders, std::uint64_t ops_per_thread,
          static_cast<double>(reps * kBlock) / seconds / 1e6;
 }
 
-/// One sequenced collect + changed-since walk + delta encode against
-/// the running pass sequence; returns the encoded stream frame size.
-std::size_t delta_bytes_for_tick(shard::RegistryT<base::DirectBackend>& registry,
-                                 unsigned pid, std::vector<shard::Sample>& scratch,
-                                 std::uint64_t& version, std::uint64_t& pass_seq,
-                                 std::size_t& entries_out) {
-  const std::uint64_t prev_seq = pass_seq;
-  ++pass_seq;
-  version = registry.snapshot_all_into_sequenced(pid, scratch, version,
-                                                 pass_seq);
-  std::vector<svc::DeltaEntry> entries;
+/// The server's delta path: walk the rows changed since `since` into
+/// (wire, flat) refs and encode straight from the collected `frame`.
+void encode_changed_delta(
+    const shard::RegistryT<base::DirectBackend>& registry,
+    const shard::TelemetryFrame& frame, std::uint64_t since,
+    std::vector<svc::DeltaRef>& refs, std::string& wire) {
+  refs.clear();
   registry.for_each_changed_since(
-      prev_seq, version,
-      [&](std::size_t index, const std::string&, std::uint64_t value,
-          std::uint64_t, const std::vector<std::uint64_t>* counts) {
-        entries.emplace_back(index, value,
-                             counts != nullptr ? *counts
-                                               : std::vector<std::uint64_t>{});
+      since, frame.registry_version,
+      [&](std::size_t index, const std::string&, std::uint64_t,
+          std::uint64_t, const std::vector<std::uint64_t>*) {
+        refs.push_back({index, index});
       });
-  entries_out = entries.size();
+  svc::encode_delta_frame(frame, frame.registry_version, 0, since, refs,
+                          wire);
+}
+
+/// The same delta built the way the server did before it encoded from
+/// the frame: every changed row copied into a DeltaEntry list first.
+void encode_changed_delta_via_entries(
+    const shard::RegistryT<base::DirectBackend>& registry,
+    const shard::TelemetryFrame& frame, std::uint64_t since,
+    std::vector<svc::DeltaEntry>& entries, std::string& wire) {
+  entries.clear();
+  registry.for_each_changed_since(
+      since, frame.registry_version,
+      [&](std::size_t index, const std::string&, std::uint64_t value,
+          std::uint64_t, const std::vector<std::uint64_t>* counts,
+          const std::vector<std::string>* labels) {
+        entries.emplace_back(
+            index, value,
+            counts != nullptr ? *counts : std::vector<std::uint64_t>{},
+            labels != nullptr ? *labels : std::vector<std::string>{});
+      });
+  svc::encode_delta_frame(frame.sequence, frame.registry_version, 0, since,
+                          entries, wire);
+}
+
+/// One sequenced collect pass into `frame`, advancing its sequence.
+/// Returns the previous sequence (the next delta's base).
+std::uint64_t collect_sequenced(
+    const shard::RegistryT<base::DirectBackend>& registry, unsigned pid,
+    shard::TelemetryFrame& frame) {
+  const std::uint64_t prev_seq = frame.sequence;
+  ++frame.sequence;
+  frame.registry_version = registry.snapshot_all_into_sequenced(
+      pid, frame.samples, frame.registry_version, frame.sequence);
+  return prev_seq;
+}
+
+/// One sequenced collect + the tick's delta (the server's path);
+/// returns the encoded stream frame size.
+std::size_t delta_bytes_for_tick(
+    const shard::RegistryT<base::DirectBackend>& registry, unsigned pid,
+    shard::TelemetryFrame& frame, std::size_t& entries_out) {
+  const std::uint64_t prev_seq = collect_sequenced(registry, pid, frame);
+  std::vector<svc::DeltaRef> refs;
   std::string wire;
-  svc::encode_delta_frame(pass_seq, version, 0, prev_seq, entries, wire);
+  encode_changed_delta(registry, frame, prev_seq, refs, wire);
+  entries_out = refs.size();
   return wire.size();
 }
 
@@ -155,7 +201,9 @@ const bench::Experiment kExperiment{
     "histogram (7 edges, S = 8, k = 1024) vs a mutex over a plain count "
     "array, while one collector thread continuously snapshots (the "
     "aggregator never stops scanning); section 2: sequenced delta ticks "
-    "over a 32-scalar + 4-histogram registry per activity scenario",
+    "over a 32-scalar + 4-histogram registry per activity scenario; "
+    "section 3: changed walk + delta encode over 4096 changed exact "
+    "counters, frame refs vs a DeltaEntry list",
     "a histogram is a vector of the paper's k-additive counters, so "
     "record() inherits their wait-freedom and amortized-local cost — the "
     "accuracy price (one-sided S·k per bucket) buys a record path with no "
@@ -238,18 +286,12 @@ const bench::Experiment kExperiment{
             registry, "fleet_hist_" + std::to_string(i), spec));
       }
 
-      std::vector<shard::Sample> scratch;
-      std::uint64_t version = 0;
-      std::uint64_t pass_seq = 0;
+      shard::TelemetryFrame frame;
       std::size_t entries = 0;
       // Prime the tracking columns; also record the full-frame cost once.
-      delta_bytes_for_tick(registry, 0, scratch, version, pass_seq, entries);
-      shard::TelemetryFrame full_frame;
-      full_frame.sequence = pass_seq;
-      full_frame.registry_version = version;
-      full_frame.samples = scratch;
+      delta_bytes_for_tick(registry, 0, frame, entries);
       std::string full_wire;
-      svc::encode_full_frame(full_frame, 0, full_wire);
+      svc::encode_full_frame(frame, 0, full_wire);
 
       struct Scenario {
         const char* name;
@@ -281,8 +323,7 @@ const bench::Experiment kExperiment{
             }
             histograms[i]->flush(0);  // k=64: force the counts visible
           }
-          bytes += delta_bytes_for_tick(registry, 0, scratch, version,
-                                        pass_seq, entries);
+          bytes += delta_bytes_for_tick(registry, 0, frame, entries);
           entry_count += entries;
         }
         const double per_tick =
@@ -296,6 +337,76 @@ const bench::Experiment kExperiment{
              bench::num(per_tick, 1),
              bench::num(per_tick / static_cast<double>(full_wire.size()), 3)});
       }
+
+      // --- section 3: changed walk + delta encode (L3) ---------------
+      constexpr unsigned kWide = 4096;
+      constexpr int kPasses = 21;
+      shard::RegistryT<base::DirectBackend> wide(2);
+      std::vector<shard::AnyCounter*> wide_fleet;
+      for (unsigned i = 0; i < kWide; ++i) {
+        char name[32];
+        std::snprintf(name, sizeof name, "wide/%04u", i);
+        wide_fleet.push_back(
+            &wide.create(name, {shard::ErrorModel::kExact, 0, 1}));
+      }
+      shard::TelemetryFrame wide_frame;
+      collect_sequenced(wide, 0, wide_frame);  // prime the tracking columns
+      std::vector<svc::DeltaRef> refs;
+      std::vector<svc::DeltaEntry> entry_list;
+      std::string wire;
+      std::size_t delta_bytes = 0;
+      const auto ns_per_entry = [](auto&& encode) {
+        const auto start = std::chrono::steady_clock::now();
+        encode();
+        const auto stop = std::chrono::steady_clock::now();
+        return std::chrono::duration<double, std::nano>(stop - start)
+                   .count() /
+               kWide;
+      };
+      std::vector<double> via_refs;
+      std::vector<double> via_entries;
+      for (int pass = 0; pass <= kPasses; ++pass) {  // pass 0 warms up
+        for (shard::AnyCounter* counter : wide_fleet) counter->increment(0);
+        const std::uint64_t since = collect_sequenced(wide, 0, wide_frame);
+        const auto refs_path = [&] {
+          return ns_per_entry([&] {
+            encode_changed_delta(wide, wide_frame, since, refs, wire);
+          });
+        };
+        const auto entries_path = [&] {
+          return ns_per_entry([&] {
+            encode_changed_delta_via_entries(wide, wide_frame, since,
+                                             entry_list, wire);
+          });
+        };
+        double refs_ns = 0;
+        double entries_ns = 0;
+        if (pass % 2 == 0) {
+          refs_ns = refs_path();
+          entries_ns = entries_path();
+        } else {
+          entries_ns = entries_path();
+          refs_ns = refs_path();
+        }
+        delta_bytes = wire.size();
+        if (pass == 0) continue;
+        via_refs.push_back(refs_ns);
+        via_entries.push_back(entries_ns);
+      }
+      const auto median = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+      };
+      auto& build = report.section(
+          {"path", "changed entries", "delta B", "ns/entry"},
+          "changed walk + delta encode (L3): 4096 exact counters, all "
+          "changed, median of 21 passes");
+      build.add_row({"frame refs (server)", bench::num(std::uint64_t{kWide}),
+                     bench::num(std::uint64_t{delta_bytes}),
+                     bench::num(median(via_refs), 1)});
+      build.add_row({"DeltaEntry list", bench::num(std::uint64_t{kWide}),
+                     bench::num(std::uint64_t{delta_bytes}),
+                     bench::num(median(via_entries), 1)});
     }};
 
 }  // namespace

@@ -9,23 +9,29 @@
 // the hot path, unbounded growth, interleaving. This ring records one
 // fixed-size structured event per decision instead: a steady-clock
 // stamp, a kind, and two uint64 arguments whose meaning the kind
-// defines. Recording is a handful of relaxed atomic stores behind a
-// fetch_add ticket — wait-free, allocation-free, and cheap enough to
-// leave on in production. Draining is on-demand (chaos tests dump it on
-// failure; the metricsz exposition appends its tail).
+// defines. Recording is a fetch_add ticket, a CAS on each side of four
+// relaxed payload stores — wait-free (bounded retries, see record()),
+// allocation-free, and cheap enough to leave on in production.
+// Draining is on-demand (chaos tests dump it on failure; the metricsz
+// exposition appends its tail).
 //
 // Concurrency design: this is the MULTI-writer adaptation of the
 // single-writer seqlock ring (base/seqlock_ring.hpp — same even/odd
 // slot discipline, same fence recipe). head_ is a fetch_add ticket
-// counter, so each recorder owns the slot its ticket names: writer
-// exclusion per slot is by ticket, and the seqlock words only defend
-// READERS against a concurrent lap. The one multi-writer hazard is two
-// tickets a full lap apart writing one slot concurrently (recorder
-// stalled for ≥ capacity events); the slot's interleaved stores can
-// then leave mixed fields behind a stable-looking seq. The ring is
-// best-effort diagnostics by contract — a reader discards any slot
-// whose seq does not certify an untorn copy, and a lap-collision slot
-// that slips through holds fields from two REAL events (every store is
+// counter, and ticket t writes slot t mod capacity during lap
+// t / capacity, whose marks are odd 2·lap + 1 (writing) and even
+// 2·lap + 2 (stable). The multi-writer hazard is two tickets a full lap
+// apart in one slot at once (a recorder stalled for ≥ capacity events).
+// So the seq word NEVER decreases: a recorder claims its slot by CAS
+// only while the word is below its own odd mark, and publishes its
+// stable mark only if the word still holds that odd mark. A recorder
+// whose lap has been overtaken drops its event, and can no longer
+// write an older mark over a newer stable one — once the recorders
+// quiesce, every slot holds the stable mark of the newest ticket that
+// maps to it, so the newest `capacity` events all drain. Overlapping
+// payload stores of two laps can still leave a chimera behind the
+// newer stable mark: the ring is best-effort diagnostics by contract,
+// and such a slot holds fields from two REAL events (every store is
 // atomic, so this is defined behavior and TSan-clean), never wild
 // bytes. Events, not evidence for a court.
 #pragma once
@@ -124,15 +130,25 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Records one event. Wait-free: one fetch_add + five relaxed/release
-  /// stores; never blocks, never allocates. Safe from any thread.
+  /// Records one event; never blocks, never allocates, safe from any
+  /// thread. Uncontended it costs one fetch_add, one CAS per seq mark
+  /// and four relaxed stores. Wait-free: the claim CAS fails (beyond a
+  /// weak CAS's spurious failures) only when another recorder of the
+  /// same slot raised its seq word, and only recorders of EARLIER laps
+  /// can raise it without overtaking this one — each at most twice — so
+  /// the retries are bounded by the recorders stalled in that slot. An
+  /// overtaken recorder drops its event.
   void record(TraceKind kind, std::uint64_t a = 0,
               std::uint64_t b = 0) noexcept {
     const std::uint64_t ticket =
         head_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[ticket & (capacity_ - 1)];
     const std::uint64_t stable = 2 * ((ticket >> shift_) + 1);
-    slot.seq.store(stable - 1, std::memory_order_relaxed);
+    std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+    do {
+      if (seen >= stable - 1) return;  // a later lap owns the slot
+    } while (!slot.seq.compare_exchange_weak(seen, stable - 1,
+                                             std::memory_order_relaxed));
     // Release fence: the odd mark precedes the payload stores (the
     // seqlock recipe — see base/seqlock_ring.hpp's audit block).
     std::atomic_thread_fence(std::memory_order_release);
@@ -141,7 +157,11 @@ class TraceRing {
                     std::memory_order_relaxed);
     slot.a.store(a, std::memory_order_relaxed);
     slot.b.store(b, std::memory_order_relaxed);
-    slot.seq.store(stable, std::memory_order_release);
+    // Publish only over our own odd mark: a later lap that claimed the
+    // slot meanwhile keeps it (and this event is dropped).
+    std::uint64_t mine = stable - 1;
+    slot.seq.compare_exchange_strong(mine, stable, std::memory_order_release,
+                                     std::memory_order_relaxed);
   }
 
   /// Appends the newest ≤ capacity events to `out`, oldest first,

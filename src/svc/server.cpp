@@ -2,7 +2,7 @@
 //
 // Layout: detail::ServerCore is the backend-agnostic machinery (sockets,
 // threads, frame fan-out) driven through two hooks — "collect a frame"
-// and "list entries changed since" — that the thin SnapshotServerT
+// and "list the rows changed since" — that the thin SnapshotServerT
 // template binds to its AggregatorT / RegistryT pair. Everything
 // socket-ish therefore compiles exactly once.
 #include "svc/server.hpp"
@@ -24,7 +24,6 @@
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -67,24 +66,16 @@ class ServerCore {
     /// Runs one sequenced aggregator pass and returns its published,
     /// immutable frame (shared with the aggregator's latest()).
     std::function<std::shared_ptr<const shard::TelemetryFrame>()> collect;
-    /// Appends (index, value) for entries changed in passes > `since`,
-    /// valid against the name table of `expected_version`. Returns the
-    /// sequence the reported values are complete up to — the delta's
-    /// label — or nullopt when the registry's version moved on (indices
-    /// shifted: the caller must fall back to a full frame).
-    std::function<std::optional<std::uint64_t>(std::uint64_t since,
-                                               std::uint64_t expected_version,
-                                               std::vector<DeltaEntry>& out)>
+    /// Replaces `out` with a (wire, flat) ref per row changed in a pass
+    /// after `since`, ascending: every row (wire == flat) when
+    /// `selection` is null, else the rows it lists (wire = position in
+    /// it, a filter group's index space). Copies no values. False when
+    /// the registry moved past `expected_version` (indices shifted: fall
+    /// back to a full frame).
+    std::function<bool(std::uint64_t since, std::uint64_t expected_version,
+                       const std::vector<std::uint64_t>* selection,
+                       std::vector<DeltaRef>& out)>
         changed_since;
-    /// Filtered form for subscription groups: visits only the flat
-    /// indices in `selection`, appending (subset index, value) pairs —
-    /// the index space of that group's filtered name table. Same
-    /// version guard and label contract as changed_since.
-    std::function<std::optional<std::uint64_t>(
-        std::uint64_t since, std::uint64_t expected_version,
-        const std::vector<std::uint64_t>& selection,
-        std::vector<DeltaEntry>& out)>
-        changed_since_filtered;
   };
 
   ServerCore(const ServerOptions& options, Hooks hooks)
@@ -292,19 +283,17 @@ class ServerCore {
   /// payloads extend every buffer past the guard) and then serve
   /// entirely lock-free.
   struct GroupTick {
-    std::uint64_t pass_seq = 0;     // collector pass that built it
-    std::uint64_t collect_ns = 0;   // that pass's collect stamp
+    std::uint64_t collect_ns = 0;  // collect stamp of snapshot's pass
     /// The registry version the group's WIRE STREAM is labeled with
     /// (see FilterGroup::wire_regver for the pinning rationale).
     std::uint64_t wire_regver = 0;
     /// The group's delta basis AFTER this pass: sequence of the last
     /// frame shipped to the group (deltas cover (sent_seq, label]).
     std::uint64_t sent_seq = 0;
-    // This tick's shared group delta (null: suppressed or re-based).
+    /// This tick's shared group delta over (delta_base, snapshot's
+    /// sequence], under wire_regver (null: suppressed or re-based).
     std::shared_ptr<const std::string> delta;
-    std::uint64_t delta_seq = 0;
     std::uint64_t delta_base = 0;
-    std::uint64_t delta_regver = 0;
     /// The pass's collected frame (the aggregator's published frame,
     /// shared by pointer with every group's tick) and the selection it
     /// was filtered with — the coherent (snapshot, selection,
@@ -447,8 +436,8 @@ class ServerCore {
 
   void collector_loop() {
     t_wpid = 0;  // the collector's slot in the obs wpid space
-    std::vector<DeltaEntry> changed;
-    std::vector<DeltaEntry> group_subset;  // per-group intersect scratch
+    std::vector<DeltaRef> changed;
+    std::vector<DeltaRef> group_subset;  // per-group intersect scratch
     std::uint64_t prev_seq = 0;
     std::uint64_t prev_regver = 0;
     // Metricsz page carried forward tick to tick (rendered on demand).
@@ -479,26 +468,25 @@ class ServerCore {
       // encoded on demand, at most once per tick (unfiltered_full).
       bool changed_valid = false;  // the changed walk succeeded
       if (prev_seq != 0) {
-        changed.clear();
         // A create racing in since our pass shifts flat-table indices;
-        // the walk then reports nullopt and this tick ships no deltas
-        // at all — subscribers get the (old-table) full frame, and the
-        // next tick re-collects under the new version. The collector is
-        // the registry's only sequencer, so on success the walk's label
-        // is exactly this frame's sequence.
-        if (hooks_.changed_since(prev_seq, frame.registry_version, changed)
-                .has_value()) {
+        // the walk then fails and this tick ships no deltas at all —
+        // subscribers get the (old-table) full frame, and the next tick
+        // re-collects under the new version. The collector is the
+        // registry's only sequencer, so on success the rows it names
+        // are exactly those this frame changed since prev_seq.
+        if (hooks_.changed_since(prev_seq, frame.registry_version, nullptr,
+                                 changed)) {
           changed_valid = true;
           if (prev_regver == frame.registry_version) {
             auto delta = std::make_shared<std::string>();
-            encode_delta_frame(frame.sequence, frame.registry_version,
-                               collect_ns, prev_seq, changed, *delta);
+            encode_delta_frame(frame, frame.registry_version, collect_ns,
+                               prev_seq, changed, *delta);
             pub.base_seq = prev_seq;
             pub.delta = std::move(delta);
           }
           // else: the table changed cleanly between ticks. Unfiltered
           // clients re-base via fulls (their indices shifted), but the
-          // changed list indexes the NEW table — exactly what the group
+          // changed refs index the NEW table — exactly what the group
           // pass consumes, so filter groups whose subset the create did
           // not touch keep their delta stream flowing under a pinned
           // wire label instead of re-encoding a full each (see
@@ -643,7 +631,7 @@ class ServerCore {
     t_wpid = 1 + index;  // this worker's slot in the obs wpid space
     Worker& worker = *workers_[index];
     std::vector<pollfd> pfds;
-    std::vector<DeltaEntry> changed_scratch;
+    std::vector<DeltaRef> changed_scratch;
     while (running_.load(std::memory_order_acquire)) {
       adopt_inbox(worker);
       pfds.clear();
@@ -1077,7 +1065,7 @@ class ServerCore {
   /// frame; once drained, hand the client the NEWEST frame in the
   /// cheapest applicable encoding.
   void service_client(Client& client, const PublishedFrame& pub,
-                      std::vector<DeltaEntry>& changed_scratch) {
+                      std::vector<DeltaRef>& changed_scratch) {
     if (client.fd < 0) return;
     const bool drained = flush(client);
     if (client.fd < 0) return;
@@ -1138,63 +1126,42 @@ class ServerCore {
       frames_coalesced_.fetch_add(pub.seq - client.sent_seq - 1,
                                   std::memory_order_relaxed);
     }
-    std::uint64_t sent_seq = pub.seq;
-    if (client.force_full) {
-      // RESYNC (or a pass-all re-subscribe): the next frame is a fresh
-      // full — no waiting for a table change. Always a strictly newer
+    const bool same_table = !client.force_full && client.sent_seq != 0 &&
+                            client.sent_regver == pub.registry_version;
+    if (same_table && client.sent_seq == pub.base_seq && pub.delta) {
+      set_inflight(client, pub.delta);  // in step: the shared tick delta
+      delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+      if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
+    } else if (same_table &&
+               hooks_.changed_since(client.sent_seq, pub.registry_version,
+                                    nullptr, changed_scratch)) {
+      // Lagged but (as of publication) same name table: a per-client
+      // catch-up delta over (sent_seq, pub.seq], encoded from the
+      // published frame and carrying its sequence and stamp. The walk
+      // ran after publication under the frame's registry version, which
+      // pins the flat index table; if a create shifted it meanwhile the
+      // walk fails and the full below goes out instead. The walk may see
+      // later passes, and that is safe: changed_seq only grows, so
+      // `changed_seq > sent_seq` names every row that moved in
+      // (sent_seq, pub.seq]; an extra row ships its frame value, which
+      // the client already holds, so applying it is idempotent.
+      auto delta = std::make_shared<std::string>();
+      encode_delta_frame(*pub.frame, pub.registry_version, pub.collect_ns,
+                         client.sent_seq, changed_scratch, *delta);
+      set_inflight(client, std::move(delta));
+      catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
+      if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
+    } else {
+      // A new subscriber, a table change, a failed catch-up walk, or a
+      // RESYNC / pass-all re-subscribe (a fresh full now, no waiting for
+      // a table change): the tick's full. Always a strictly newer
       // sequence (the pub.seq guard above), so the view applies it.
-      client.out = unfiltered_full(pub);
+      set_inflight(client, unfiltered_full(pub));
       client.force_full = false;
       full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
       if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-    } else if (client.sent_seq == pub.base_seq && pub.delta &&
-               client.sent_regver == pub.registry_version) {
-      client.out = pub.delta;  // in step: the shared tick delta
-      delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
-    } else if (client.sent_seq != 0 &&
-               client.sent_regver == pub.registry_version) {
-      // Lagged but (as of publication) same name table: try a
-      // per-client catch-up delta of exactly what moved since its last
-      // fully-sent frame. The version-guarded walk fails if a create
-      // has shifted the flat-table indices meanwhile — fall back to the
-      // full frame rather than ship a delta the client would misapply.
-      // On success the walk's label may run ahead of pub.seq (the
-      // collector finished another pass since publication); the delta
-      // is complete up to that label, so the client's view — and our
-      // sent_seq tracking — jump there.
-      changed_scratch.clear();
-      const std::optional<std::uint64_t> upto = hooks_.changed_since(
-          client.sent_seq, pub.registry_version, changed_scratch);
-      if (upto.has_value()) {
-        auto buf = std::make_shared<std::string>();
-        // pub.collect_ns belongs to pass pub.seq; when the walk ran
-        // ahead to a newer completed pass, stamping it would date newer
-        // values with an older clock (inflating consumer latency), so
-        // that rare race stamps the encode-time clock instead — the
-        // values are at least that fresh, so the consumer's latency
-        // reads a tight upper bound rather than losing the sample.
-        const std::uint64_t stamp_ns =
-            *upto == pub.seq ? pub.collect_ns : steady_now_ns();
-        encode_delta_frame(*upto, pub.registry_version, stamp_ns,
-                           client.sent_seq, changed_scratch, *buf);
-        client.out = std::move(buf);
-        sent_seq = std::max(sent_seq, *upto);
-        catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
-      } else {
-        client.out = unfiltered_full(pub);
-        full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-      }
-    } else {
-      client.out = unfiltered_full(pub);  // new subscriber or table change
-      full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
     }
-    client.off = 0;
-    inflight_frames_.fetch_add(1, std::memory_order_relaxed);
-    client.sent_seq = sent_seq;
+    client.sent_seq = pub.seq;
     client.sent_regver = pub.registry_version;
     flush(client);
   }
@@ -1209,91 +1176,65 @@ class ServerCore {
   /// step, a per-client filtered catch-up delta when lagged, and
   /// nothing at all while the subset is quiet.
   void service_filtered(Client& client,
-                        std::vector<DeltaEntry>& changed_scratch) {
-    std::shared_ptr<const std::string> group_delta;
-    std::shared_ptr<const shard::TelemetryFrame> tick_snapshot;
-    std::shared_ptr<const std::vector<std::uint64_t>> tick_selection;
-    std::uint64_t delta_seq = 0;
-    std::uint64_t delta_base = 0;
-    std::uint64_t delta_regver = 0;
-    std::uint64_t group_sent = 0;
-    std::uint64_t group_wire = 0;
-    std::uint64_t tick_pass = 0;
-    std::uint64_t tick_collect_ns = 0;
-    std::uint64_t tick_selver = 0;
+                        std::vector<DeltaRef>& changed_scratch) {
+    GroupTick tick;
     {
       const base::EpochDomain::Guard eguard(epochs_);
-      const GroupTick* tick =
+      const GroupTick* current =
           client.group->tick.load(std::memory_order_acquire);
-      if (tick == nullptr) return;  // group born after the last pass
-      group_delta = tick->delta;
-      delta_seq = tick->delta_seq;
-      delta_base = tick->delta_base;
-      delta_regver = tick->delta_regver;
-      group_sent = tick->sent_seq;
-      group_wire = tick->wire_regver;
-      tick_snapshot = tick->snapshot;
-      tick_selection = tick->selection;
-      tick_pass = tick->pass_seq;
-      tick_collect_ns = tick->collect_ns;
-      tick_selver = tick->sel_regver;
+      if (current == nullptr) return;  // group born after the last pass
+      tick = *current;
     }
+    const std::uint64_t pass = tick.snapshot->sequence;  // the tick's pass
     // Re-base against the group's WIRE label, not the raw registry
     // version: a create outside the subset bumps the registry but not
     // wire_regver, so in-step subscribers keep streaming deltas instead
     // of all taking a filtered full (the satellite-1 pin).
     if (client.force_full || client.sent_seq == 0 ||
-        client.sent_regver != group_wire) {
-      if (tick_pass <= client.sent_seq) return;  // re-base next tick
-      if (!tick_snapshot || !tick_selection) return;  // empty registry
-      std::shared_ptr<const std::string> full =
-          cached_full(client.group->full, *tick_snapshot,
-                      tick_selection.get(), group_wire, tick_collect_ns);
-      set_inflight(client, std::move(full));
-      client.sent_seq = tick_pass;
-      client.sent_regver = group_wire;
+        client.sent_regver != tick.wire_regver) {
+      if (pass <= client.sent_seq) return;  // re-base next tick
+      set_inflight(client, cached_full(client.group->full, *tick.snapshot,
+                                       tick.selection.get(), tick.wire_regver,
+                                       tick.collect_ns));
+      client.sent_seq = pass;
+      client.sent_regver = tick.wire_regver;
       client.force_full = false;
       full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
       if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
       flush(client);
       return;
     }
-    if (group_sent <= client.sent_seq) return;  // subset quiet: nothing
-    if (group_delta && delta_regver == client.sent_regver &&
-        delta_base <= client.sent_seq && delta_seq > client.sent_seq) {
+    if (tick.sent_seq <= client.sent_seq) return;  // subset quiet: nothing
+    if (tick.delta && tick.delta_base <= client.sent_seq) {
       // In step (or covered): the group's one shared encode this tick.
-      set_inflight(client, std::move(group_delta));
-      client.sent_seq = delta_seq;
+      // Its label matches the client's (checked above), and it is newer
+      // than the client's frame: a delta moves the basis to `pass`.
+      set_inflight(client, std::move(tick.delta));
+      client.sent_seq = pass;
       delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
       if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
       flush(client);
       return;
     }
     // Lagged below the shared delta's basis: per-client filtered
-    // catch-up of exactly what moved in its subset since its last
-    // fully-sent frame, walked against the tick's published selection —
-    // coherent with its sel_regver by construction. The walk's version
-    // guard rejects it if the registry has moved past that version; the
-    // full path heals the client next round.
-    if (!tick_selection) return;  // empty registry: nothing to walk
-    changed_scratch.clear();
-    const std::optional<std::uint64_t> upto = hooks_.changed_since_filtered(
-        client.sent_seq, tick_selver, *tick_selection, changed_scratch);
-    if (!upto.has_value()) {
+    // catch-up of what moved in its subset since its last fully-sent
+    // frame, walked against the tick's published selection — coherent
+    // with its sel_regver (and the tick's frame) by construction — and
+    // encoded from the tick's frame under the group's pinned wire
+    // version, the index space of the client's filtered table (the
+    // unfiltered catch-up's argument holds here too). The walk's
+    // version guard rejects it if the registry has moved past that
+    // version; the full path heals the client next round.
+    if (!hooks_.changed_since(client.sent_seq, tick.sel_regver,
+                              tick.selection.get(), changed_scratch)) {
       client.force_full = true;
       return;
     }
-    auto buf = std::make_shared<std::string>();
-    // Same stamp rule as the unfiltered catch-up: tick_collect_ns dates
-    // pass tick_pass only; a walk that ran ahead stamps the encode-time
-    // clock. Labeled with the group's pinned wire version — the index
-    // space of the client's filtered table.
-    const std::uint64_t stamp_ns =
-        *upto == tick_pass ? tick_collect_ns : steady_now_ns();
-    encode_delta_frame(*upto, group_wire, stamp_ns,
-                       client.sent_seq, changed_scratch, *buf);
-    set_inflight(client, std::move(buf));
-    client.sent_seq = std::max(client.sent_seq, *upto);
+    auto delta = std::make_shared<std::string>();
+    encode_delta_frame(*tick.snapshot, tick.wire_regver, tick.collect_ns,
+                       client.sent_seq, changed_scratch, *delta);
+    set_inflight(client, std::move(delta));
+    client.sent_seq = pass;
     catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
     if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
     flush(client);
@@ -1350,16 +1291,14 @@ class ServerCore {
   bool ensure_selection(FilterGroup& group,
                         const shard::TelemetryFrame& frame) {
     if (group.sel_regver == frame.registry_version) return false;
-    const bool had = group.sel_regver != 0;
-    const std::size_t prev_size =
-        group.selection ? group.selection->size() : 0;
     auto selection = std::make_shared<std::vector<std::uint64_t>>();
     for (std::size_t i = 0; i < frame.samples.size(); ++i) {
       if (group.filter.matches(frame.samples[i].name)) {
         selection->push_back(i);
       }
     }
-    const bool subset_changed = !had || selection->size() != prev_size;
+    const bool subset_changed =
+        !group.selection || selection->size() != group.selection->size();
     group.selection = std::move(selection);
     group.sel_regver = frame.registry_version;
     if (subset_changed) group.wire_regver = frame.registry_version;
@@ -1368,7 +1307,7 @@ class ServerCore {
 
   /// The collector's per-tick, per-group pass: maintains the group's
   /// selection against the tick's registry version, intersects the
-  /// tick's changed list with it and, when the subset moved (or a
+  /// tick's changed rows with it and, when the subset moved (or a
   /// heartbeat is due), encodes the ONE delta every in-step subscriber
   /// of the group will share — then publishes it all as this pass's
   /// immutable GroupTick (RCU pointer swap; the superseded tick retires
@@ -1377,8 +1316,7 @@ class ServerCore {
       FilterGroup& group,
       const std::shared_ptr<const shard::TelemetryFrame>& snapshot,
       std::uint64_t collect_ns, bool changed_valid,
-      const std::vector<DeltaEntry>& changed,
-      std::vector<DeltaEntry>& subset) {
+      const std::vector<DeltaRef>& changed, std::vector<DeltaRef>& subset) {
     const shard::TelemetryFrame& frame = *snapshot;
     // Only the collector publishes ticks, so a relaxed read of our own
     // last store is exact.
@@ -1400,25 +1338,20 @@ class ServerCore {
       // tick's full.
     } else {
       subset.clear();
-      // Both sides ascend by flat index: one two-pointer pass. Entries
-      // are emitted with SUBSET positions — the filtered table's index
-      // space.
-      static const std::vector<std::uint64_t> kNoSelection;
-      const std::vector<std::uint64_t>& selection =
-          group.selection ? *group.selection : kNoSelection;
+      // Both sides ascend by flat index: one two-pointer pass over
+      // plain integers. Matches keep their flat row (the encoder reads
+      // it from the frame) and take their SUBSET position as the wire
+      // index — the filtered table's index space.
+      const std::vector<std::uint64_t>& selection = *group.selection;
       std::size_t ci = 0;
       std::size_t si = 0;
       while (ci < changed.size() && si < selection.size()) {
-        if (changed[ci].index < selection[si]) {
+        if (changed[ci].flat < selection[si]) {
           ++ci;
-        } else if (changed[ci].index > selection[si]) {
+        } else if (changed[ci].flat > selection[si]) {
           ++si;
         } else {
-          // Carry the vector payloads too: a histogram or top-k row in
-          // the subset must keep its buckets/labels, or the entry would
-          // re-encode as a scalar and the subscriber's view reject it.
-          subset.push_back({si, changed[ci].value, changed[ci].buckets,
-                            changed[ci].labels});
+          subset.push_back({si, selection[si]});
           ++ci;
           ++si;
         }
@@ -1433,7 +1366,7 @@ class ServerCore {
         // version of its subscribers' tables), NOT the raw registry
         // version: across disjoint creates the stream keeps flowing
         // under the old label and nobody re-bases.
-        encode_delta_frame(frame.sequence, group.wire_regver, collect_ns,
+        encode_delta_frame(frame, group.wire_regver, collect_ns,
                            group.sent_seq, subset, *buf);
         delta = std::move(buf);
         delta_base = group.sent_seq;
@@ -1442,20 +1375,14 @@ class ServerCore {
         filtered_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    auto* tick = new GroupTick;
-    tick->pass_seq = frame.sequence;
-    tick->collect_ns = collect_ns;
-    tick->wire_regver = group.wire_regver;
-    tick->sent_seq = group.sent_seq;
-    if (delta) {
-      tick->delta = std::move(delta);
-      tick->delta_seq = frame.sequence;
-      tick->delta_base = delta_base;
-      tick->delta_regver = group.wire_regver;
-    }
-    tick->snapshot = snapshot;
-    tick->selection = group.selection;
-    tick->sel_regver = group.sel_regver;
+    auto* tick = new GroupTick{.collect_ns = collect_ns,
+                               .wire_regver = group.wire_regver,
+                               .sent_seq = group.sent_seq,
+                               .delta = std::move(delta),
+                               .delta_base = delta_base,
+                               .snapshot = snapshot,
+                               .selection = group.selection,
+                               .sel_regver = group.sel_regver};
     // Publish the fully built tick, then retire the one it replaces —
     // a worker may still hold it pinned under an epoch guard.
     const GroupTick* old =
@@ -1562,42 +1489,26 @@ SnapshotServerT<Backend>::SnapshotServerT(
     : aggregator_(registry, pid, /*sequenced=*/true), registry_(registry) {
   typename detail::ServerCore::Hooks hooks;
   hooks.collect = [this] { return aggregator_.collect_shared(); };
-  hooks.changed_since = [this](std::uint64_t since,
-                               std::uint64_t expected_version,
-                               std::vector<DeltaEntry>& out) {
-    return registry_.for_each_changed_since(
-        since, expected_version,
-        [&](std::size_t index, const std::string& /*name*/,
-            std::uint64_t value, std::uint64_t /*changed_seq*/,
-            const std::vector<std::uint64_t>* counts,
-            const std::vector<std::string>* labels) {
-          out.push_back({index, value,
-                         counts != nullptr ? *counts
-                                           : std::vector<std::uint64_t>{},
-                         labels != nullptr ? *labels
-                                           : std::vector<std::string>{}});
-        });
+  hooks.changed_since = [this](std::uint64_t since, std::uint64_t version,
+                               const std::vector<std::uint64_t>* selection,
+                               std::vector<DeltaRef>& out) {
+    out.clear();
+    if (selection == nullptr) {
+      return registry_
+          .for_each_changed_since(since, version,
+                                  [&out](std::size_t index, auto&&...) {
+                                    out.push_back({index, index});
+                                  })
+          .has_value();
+    }
+    return registry_
+        .for_each_changed_since_filtered(
+            since, version, *selection,
+            [&out](std::size_t wire, std::size_t flat, auto&&...) {
+              out.push_back({wire, flat});
+            })
+        .has_value();
   };
-  hooks.changed_since_filtered =
-      [this](std::uint64_t since, std::uint64_t expected_version,
-             const std::vector<std::uint64_t>& selection,
-             std::vector<DeltaEntry>& out) {
-        return registry_.for_each_changed_since_filtered(
-            since, expected_version, selection,
-            [&](std::size_t subset_index, std::size_t /*flat_index*/,
-                const std::string& /*name*/, std::uint64_t value,
-                std::uint64_t /*changed_seq*/,
-                const std::vector<std::uint64_t>* counts,
-                const std::vector<std::string>* labels) {
-              out.push_back({subset_index, value,
-                             counts != nullptr
-                                 ? *counts
-                                 : std::vector<std::uint64_t>{},
-                             labels != nullptr
-                                 ? *labels
-                                 : std::vector<std::string>{}});
-            });
-      };
   core_ = std::make_unique<detail::ServerCore>(options, std::move(hooks));
 }
 

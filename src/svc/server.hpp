@@ -8,12 +8,14 @@
 //     (collect_shared: a recycled frame, filled once and published
 //     as-is — no frame copy anywhere; the pass feeds the registry's
 //     changed-since tracking), then ONE delta-since-previous-tick
-//     encode shared by every up-to-date subscriber. The collected
-//     frame itself is shared by pointer with the published tick, the
-//     filter groups' ticks and the shm path. The unfiltered full frame
-//     is encoded lazily, at most once per tick and only when something
-//     takes it — a new or re-basing subscriber, a RESYNC, a failed
-//     catch-up walk, or the shm ring on a tick without a shared delta
+//     encode shared by every up-to-date subscriber. Every delta is
+//     encoded straight from a published frame (the changed walk yields
+//     row indices only). That frame is shared by pointer with the
+//     published tick, the filter groups' ticks and the shm path. The
+//     unfiltered full frame is encoded lazily, at most once per tick
+//     and only when something takes it — a new or re-basing
+//     subscriber, a RESYNC, a failed catch-up walk, or the shm ring on
+//     a tick without a shared delta
 //     (ServerStats::unfiltered_full_encodes) — through the same
 //     per-tick cache filtered fulls use. Encoded byte buffers are
 //     freshly allocated and retired by refcount when the last
@@ -30,11 +32,11 @@
 //     resumes them) and no queue. A subscriber that drains slower than
 //     the tick rate simply skips frames: when its buffer drains the
 //     worker hands it the NEWEST frame — as the shared delta if it is
-//     exactly one tick behind, as a per-client catch-up delta
-//     (registry for_each_changed_since its last fully-sent sequence)
-//     if it lagged but the name table is unchanged, or as the full
-//     frame otherwise. Memory per client is O(one frame) regardless of
-//     how slow it reads; nobody is disconnected for being slow.
+//     exactly one tick behind, as a per-client catch-up delta (rows
+//     changed since its last fully-sent sequence) if it lagged but the
+//     name table is unchanged, or as the full frame otherwise. Memory
+//     per client is O(one frame) regardless of how slow it reads;
+//     nobody is disconnected for being slow.
 //
 //   * acks — subscribers send { 0xAC, seq:uvarint } after applying a
 //     frame; the server tracks the fleet-wide acked floor purely as
@@ -76,13 +78,12 @@
 //     goes over TCP; a SUBSCRIBE moves the client back to (filtered)
 //     TCP frames entirely. Remote and declining clients never notice.
 //
-// Catch-up deltas are encoded from the registry's tracking columns via
-// the version-guarded for_each_changed_since walk: if a create shifted
-// the name-table indices since the frame was published, the walk
-// refuses and the subscriber gets a full frame instead (a delta against
-// the wrong table would silently misapply values). The walk labels the
-// delta with the last *completed* sequenced pass, which may run ahead
-// of the published frame — the delta is complete up to that label.
+// A catch-up delta is encoded from the published frame and carries its
+// sequence and collect stamp; the registry's version-guarded changed
+// walk names its rows. If a create shifted the name-table indices since
+// the frame was published, the walk refuses and the subscriber gets a
+// full frame instead (a delta against the wrong table would silently
+// misapply values).
 //
 // The server binds 127.0.0.1 only: the facade is an in-host scrape/
 // stream endpoint (sidecar, dashboard, load generator), not an

@@ -18,6 +18,17 @@ constexpr int kMaxVarintBytes = 10;
 /// parse, so a lying count cannot command a huge allocation.
 constexpr std::uint64_t kReserveClamp = 4096;
 
+/// Writes `value` as an unsigned LEB128 varint at `p` (room for
+/// kMaxVarintBytes); returns one past its last byte.
+char* put_uvarint(char* p, std::uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<char>((value & 0x7F) | 0x80);
+    value >>= 7;
+  }
+  *p++ = static_cast<char>(value);
+  return p;
+}
+
 void append_u32le(std::string& out, std::uint32_t value) {
   out.push_back(static_cast<char>(value & 0xFF));
   out.push_back(static_cast<char>((value >> 8) & 0xFF));
@@ -172,39 +183,136 @@ std::uint8_t sample_version(const shard::Sample& sample) {
   return kWireVersion;
 }
 
-/// The data-frame version byte: the maximum any riding entry requires,
-/// so scalar-only frames stay byte-identical to a v1 server's (the
-/// compatibility contract).
-std::uint8_t full_frame_version(const shard::TelemetryFrame& frame,
-                                const std::vector<std::uint64_t>* selection) {
+/// Both full-frame forms: the rows of `selection` (every row when null),
+/// labeled `registry_version`. The version byte is the maximum any
+/// riding entry requires, so scalar-only frames stay byte-identical to a
+/// v1 server's (the compatibility contract).
+void encode_full(const shard::TelemetryFrame& frame,
+                 const std::vector<std::uint64_t>* selection,
+                 std::uint64_t registry_version, std::uint64_t collect_ns,
+                 std::string& out) {
+  const std::size_t count =
+      selection != nullptr ? selection->size() : frame.samples.size();
+  const auto row = [&](std::size_t i) -> const shard::Sample& {
+    return frame.samples[selection != nullptr
+                             ? static_cast<std::size_t>((*selection)[i])
+                             : i];
+  };
   std::uint8_t version = kWireVersion;
-  if (selection != nullptr) {
-    for (const std::uint64_t index : *selection) {
-      version = std::max(
-          version,
-          sample_version(frame.samples[static_cast<std::size_t>(index)]));
+  for (std::size_t i = 0; i < count; ++i) {
+    version = std::max(version, sample_version(row(i)));
+  }
+  out.clear();
+  append_u32le(out, 0);  // length prefix, patched below
+  append_header(out, FrameKind::kFull, frame.sequence, registry_version,
+                collect_ns, version);
+  append_uvarint(out, count);
+  for (std::size_t i = 0; i < count; ++i) append_sample(out, row(i));
+  patch_length_prefix(out);
+}
+
+/// One delta entry as both encoders see it: its wire index, scalar value
+/// and vector payloads (empty for a scalar; labels only for top-k).
+struct DeltaEntryView {
+  std::uint64_t index;
+  std::uint64_t value;
+  const std::vector<std::uint64_t>& buckets;
+  const std::vector<std::string>& labels;
+};
+
+/// The version rule every delta entry obeys: 5 when it carries labeled
+/// top-k rows, 4 when it carries buckets, the frozen v1 for a scalar. A
+/// frame is stamped with the maximum over its entries.
+std::uint8_t delta_entry_version(const DeltaEntryView& entry) {
+  if (!entry.labels.empty()) return kTopKVersion;
+  if (!entry.buckets.empty()) return kVectorVersion;
+  return kWireVersion;
+}
+
+/// Most bytes put_delta_entry can write for `entry`.
+std::size_t delta_entry_bound(const DeltaEntryView& entry) {
+  std::size_t bytes = 3 * kMaxVarintBytes;  // index, tag, value / nrows
+  bytes += entry.buckets.size() * kMaxVarintBytes;
+  for (const std::string& label : entry.labels) {
+    bytes += kMaxVarintBytes + label.size();
+  }
+  return bytes;
+}
+
+/// The one delta-entry grammar (wire.hpp's delta/delta4/delta5), written
+/// at `p`; returns one past the entry's last byte.
+char* put_delta_entry(char* p, std::uint8_t version,
+                      const DeltaEntryView& entry) {
+  p = put_uvarint(p, entry.index);
+  if (version == kWireVersion) return put_uvarint(p, entry.value);
+  if (!entry.labels.empty()) {
+    // v5 top-k entry: tag 1, then ranked (label_len, label, value) rows
+    // (labels/buckets are parallel — see DeltaEntry).
+    p = put_uvarint(p, 1);
+    p = put_uvarint(p, entry.labels.size());
+    for (std::size_t i = 0; i < entry.labels.size(); ++i) {
+      p = put_uvarint(p, entry.labels[i].size());
+      p = std::copy(entry.labels[i].begin(), entry.labels[i].end(), p);
+      p = put_uvarint(p, entry.buckets[i]);
     }
-    return version;
+    return p;
   }
-  for (const shard::Sample& sample : frame.samples) {
-    version = std::max(version, sample_version(sample));
+  // v4 delta entries are self-describing: nbuckets = 0 marks a scalar.
+  p = put_uvarint(p, entry.buckets.size());
+  if (entry.buckets.empty()) return put_uvarint(p, entry.value);
+  for (const std::uint64_t count : entry.buckets) p = put_uvarint(p, count);
+  return p;
+}
+
+/// Both encode_delta_frame forms; `view(item)` maps each of `items` to
+/// its DeltaEntryView. Most deltas are scalar-only, so the entries are
+/// first written as v1 in one pass, into a buffer grown once to the v1
+/// bound. The first entry that needs a newer version ends that pass:
+/// the version and exact bound are then settled over every entry, and
+/// the entries are rewritten at that version.
+template <typename Item, typename View>
+void encode_delta(std::uint64_t sequence, std::uint64_t registry_version,
+                  std::uint64_t collect_ns, std::uint64_t base_seq,
+                  const std::vector<Item>& items, const View& view,
+                  std::string& out) {
+  out.clear();
+  append_u32le(out, 0);  // length prefix, patched below
+  append_header(out, FrameKind::kDelta, sequence, registry_version,
+                collect_ns, kWireVersion);
+  const std::size_t body_at = out.size();
+  out.resize(body_at + (2 + 2 * items.size()) * kMaxVarintBytes);
+  char* p = out.data() + body_at;
+  p = put_uvarint(p, base_seq);
+  p = put_uvarint(p, items.size());
+  const std::size_t entries_at = static_cast<std::size_t>(p - out.data());
+  std::size_t scalars = 0;
+  for (; scalars < items.size(); ++scalars) {
+    const DeltaEntryView entry = view(items[scalars]);
+    if (delta_entry_version(entry) != kWireVersion) break;
+    p = put_delta_entry(p, kWireVersion, entry);
   }
-  return version;
+  if (scalars < items.size()) {
+    std::uint8_t version = kWireVersion;
+    std::size_t bound = 0;
+    for (const Item& item : items) {
+      const DeltaEntryView entry = view(item);
+      version = std::max(version, delta_entry_version(entry));
+      bound += delta_entry_bound(entry);
+    }
+    out[kFramePrefixBytes + 2] = static_cast<char>(version);  // after magic
+    out.resize(entries_at + bound);
+    p = out.data() + entries_at;
+    for (const Item& item : items) p = put_delta_entry(p, version, view(item));
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+  patch_length_prefix(out);
 }
 
 }  // namespace
 
 void encode_full_frame(const shard::TelemetryFrame& frame,
                        std::uint64_t collect_ns, std::string& out) {
-  out.clear();
-  append_u32le(out, 0);  // length prefix, patched below
-  append_header(out, FrameKind::kFull, frame.sequence, frame.registry_version,
-                collect_ns, full_frame_version(frame, nullptr));
-  append_uvarint(out, frame.samples.size());
-  for (const shard::Sample& sample : frame.samples) {
-    append_sample(out, sample);
-  }
-  patch_length_prefix(out);
+  encode_full(frame, nullptr, frame.registry_version, collect_ns, out);
 }
 
 void encode_full_frame_filtered(const shard::TelemetryFrame& frame,
@@ -212,64 +320,34 @@ void encode_full_frame_filtered(const shard::TelemetryFrame& frame,
                                 std::uint64_t collect_ns,
                                 std::uint64_t registry_version,
                                 std::string& out) {
-  out.clear();
-  append_u32le(out, 0);  // length prefix, patched below
-  append_header(out, FrameKind::kFull, frame.sequence, registry_version,
-                collect_ns, full_frame_version(frame, &selection));
-  append_uvarint(out, selection.size());
-  for (const std::uint64_t index : selection) {
-    append_sample(out, frame.samples[static_cast<std::size_t>(index)]);
-  }
-  patch_length_prefix(out);
+  encode_full(frame, &selection, registry_version, collect_ns, out);
 }
 
 void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::uint64_t collect_ns, std::uint64_t base_seq,
                         const std::vector<DeltaEntry>& entries,
                         std::string& out) {
-  out.clear();
-  append_u32le(out, 0);  // length prefix, patched below
-  std::uint8_t version = kWireVersion;
-  for (const DeltaEntry& entry : entries) {
-    if (!entry.labels.empty()) {
-      version = kTopKVersion;
-      break;
-    }
-    if (!entry.buckets.empty()) version = kVectorVersion;
-  }
-  append_header(out, FrameKind::kDelta, sequence, registry_version,
-                collect_ns, version);
-  append_uvarint(out, base_seq);
-  append_uvarint(out, entries.size());
-  for (const DeltaEntry& entry : entries) {
-    append_uvarint(out, entry.index);
-    if (version == kWireVersion) {
-      append_uvarint(out, entry.value);
-      continue;
-    }
-    if (!entry.labels.empty()) {
-      // v5 top-k entry: tag 1, then ranked (label_len, label, value)
-      // rows (labels/buckets are parallel — see DeltaEntry).
-      append_uvarint(out, 1);
-      append_uvarint(out, entry.labels.size());
-      for (std::size_t i = 0; i < entry.labels.size(); ++i) {
-        append_uvarint(out, entry.labels[i].size());
-        out.append(entry.labels[i]);
-        append_uvarint(out, entry.buckets[i]);
-      }
-      continue;
-    }
-    // v4 delta entries are self-describing: nbuckets = 0 marks a scalar.
-    append_uvarint(out, entry.buckets.size());
-    if (entry.buckets.empty()) {
-      append_uvarint(out, entry.value);
-    } else {
-      for (const std::uint64_t count : entry.buckets) {
-        append_uvarint(out, count);
-      }
-    }
-  }
-  patch_length_prefix(out);
+  encode_delta(sequence, registry_version, collect_ns, base_seq, entries,
+               [](const DeltaEntry& entry) {
+                 return DeltaEntryView{entry.index, entry.value,
+                                       entry.buckets, entry.labels};
+               },
+               out);
+}
+
+void encode_delta_frame(const shard::TelemetryFrame& frame,
+                        std::uint64_t wire_regver, std::uint64_t collect_ns,
+                        std::uint64_t base_seq,
+                        const std::vector<DeltaRef>& refs, std::string& out) {
+  encode_delta(frame.sequence, wire_regver, collect_ns, base_seq, refs,
+               [&frame](const DeltaRef& ref) {
+                 const shard::Sample& sample =
+                     frame.samples[static_cast<std::size_t>(ref.flat)];
+                 return DeltaEntryView{ref.wire, sample.value,
+                                       sample.bucket_counts,
+                                       sample.top_labels};
+               },
+               out);
 }
 
 bool SubscriptionFilter::matches(std::string_view name) const {

@@ -118,17 +118,18 @@
 // and bound once, in the registry's name-sorted flat-table order — that
 // order IS the name table. A DELTA frame then references counters by
 // flat-table index only, carrying just the values that changed since
-// `base_seq` (the registry's for_each_changed_since walk): on the
-// 48-counter / 4-hot fleet E17 measures, a steady-state delta is an
-// order of magnitude smaller than the full frame. Deltas are only
+// `base_seq` (the registry's changed walk names the rows; their values
+// come from the collected frame): on the 48-counter / 4-hot fleet E17
+// measures, a steady-state delta is an order of magnitude smaller than
+// the full frame. Deltas are only
 // meaningful against the same `registry_version` (the table grew
 // otherwise — the server falls back to a full frame, and a decoder must
 // reject the mismatch with kNeedFull).
 //
-// collect_ns is the server's steady-clock timestamp (nanoseconds) taken
-// when the frame was ENCODED — for the shared per-tick frames that is
-// the moment their samples were collected; a per-client catch-up delta
-// is stamped at its own encode. Same-host consumers (E17's load
+// collect_ns is the server's steady-clock timestamp (nanoseconds) of
+// the collect pass whose frame the bytes were encoded from (every data
+// frame, catch-up deltas included, carries its frame's sequence and
+// stamp). Same-host consumers (E17's load
 // generator) subtract it from their own steady clock for end-to-end
 // latency, and every frame (heartbeats included) refreshes it. 0 = not
 // recorded. Steady-clock values are process-portable on one host but
@@ -370,15 +371,6 @@ void encode_full_frame_filtered(const shard::TelemetryFrame& frame,
                                 std::uint64_t registry_version,
                                 std::string& out);
 
-/// Convenience form labeling with the frame's own registry version.
-inline void encode_full_frame_filtered(
-    const shard::TelemetryFrame& frame,
-    const std::vector<std::uint64_t>& selection, std::uint64_t collect_ns,
-    std::string& out) {
-  encode_full_frame_filtered(frame, selection, collect_ns,
-                             frame.registry_version, out);
-}
-
 /// Encodes a stream-ready DELTA frame carrying `entries` (flat-table
 /// index + value, any order) relative to `base_seq`: a view at sequence
 /// `base_seq` (or newer, same registry_version) becomes sequence
@@ -390,6 +382,23 @@ void encode_delta_frame(std::uint64_t sequence, std::uint64_t registry_version,
                         std::uint64_t collect_ns, std::uint64_t base_seq,
                         const std::vector<DeltaEntry>& entries,
                         std::string& out);
+
+/// One changed row: `wire` is its index in the receiving view's table
+/// (a filter group's subset position), `flat` its row in the frame.
+struct DeltaRef {
+  std::uint64_t wire = 0;
+  std::uint64_t flat = 0;
+};
+
+/// The server's form: byte for byte what the DeltaEntry form makes of
+/// {ref.wire, s.value, s.bucket_counts, s.top_labels} with s =
+/// frame.samples[ref.flat], read straight from the frame (no copies).
+/// Labeled frame.sequence under `wire_regver` (a filter group's pinned
+/// wire version, else the frame's own).
+void encode_delta_frame(const shard::TelemetryFrame& frame,
+                        std::uint64_t wire_regver, std::uint64_t collect_ns,
+                        std::uint64_t base_seq,
+                        const std::vector<DeltaRef>& refs, std::string& out);
 
 // --- decoding ---------------------------------------------------------
 

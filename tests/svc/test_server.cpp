@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,12 +15,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/backend.hpp"
 #include "shard/registry.hpp"
+#include "stats/histogram.hpp"
+#include "stats/topk.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 
@@ -1417,6 +1422,267 @@ TEST(SnapshotServer, ShmRingGetsAFullOnACreateTick) {
       << "the re-basing full went over TCP, not the ring";
   EXPECT_GT(after.unfiltered_full_encodes, before.unfiltered_full_encodes);
   EXPECT_GT(after.shm_frames_published, before.shm_frames_published);
+  server.stop();
+}
+
+/// One data frame exactly as a subscriber's socket received it, with
+/// its header, a delta's base and either kind's row count parsed.
+struct RawFrame {
+  std::string wire;  // u32le prefix + payload, byte for byte
+  FrameKind kind = FrameKind::kFull;
+  std::uint64_t sequence = 0;
+  std::uint64_t registry_version = 0;
+  std::uint64_t collect_ns = 0;
+  std::uint64_t base_seq = 0;  // deltas only
+  std::uint64_t entries = 0;   // rows carried (a full's table size)
+};
+
+/// A bare TCP subscriber that keeps every frame's bytes (the client
+/// library applies and drops them). It never acks.
+class RawSubscriber {
+ public:
+  RawSubscriber() = default;
+  RawSubscriber(const RawSubscriber&) = delete;
+  RawSubscriber& operator=(const RawSubscriber&) = delete;
+  ~RawSubscriber() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  /// `rcvbuf` > 0 shrinks the receive buffer (a lagging reader then
+  /// backs the server up within a few frames).
+  bool connect(std::uint16_t port, int rcvbuf = 0) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd_ < 0) return false;
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)) == 0;
+  }
+
+  bool send(const std::string& record) {
+    return ::send(fd_, record.data(), record.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(record.size());
+  }
+
+  /// The next whole frame, or nullopt after `timeout` without one.
+  std::optional<RawFrame> next(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (buf_.size() < kFramePrefixBytes ||
+           buf_.size() < kFramePrefixBytes + read_u32le(buf_.data())) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd pfd{fd_, POLLIN, 0};
+      if (left.count() <= 0 ||
+          ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+        return std::nullopt;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return std::nullopt;
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+    RawFrame frame;
+    const std::size_t size = kFramePrefixBytes + read_u32le(buf_.data());
+    frame.wire = buf_.substr(0, size);
+    buf_.erase(0, size);
+    const char* cursor = frame.wire.data() + kFramePrefixBytes + 4;
+    const char* const end = frame.wire.data() + frame.wire.size();
+    frame.kind = static_cast<FrameKind>(frame.wire[kFramePrefixBytes + 3]);
+    read_uvarint(&cursor, end, frame.sequence);
+    read_uvarint(&cursor, end, frame.registry_version);
+    read_uvarint(&cursor, end, frame.collect_ns);
+    if (frame.kind == FrameKind::kDelta) {
+      read_uvarint(&cursor, end, frame.base_seq);
+    }
+    read_uvarint(&cursor, end, frame.entries);
+    return frame;
+  }
+
+ private:
+  int fd_ = -1;
+  std::string buf_;
+};
+
+TEST(SnapshotServer, TickDeltaBytesEqualTheEntryEncodeOfTheChangedWalk) {
+  // The shared tick delta is encoded straight from the published frame.
+  // Its bytes must be exactly what the DeltaEntry encoder makes of the
+  // registry's changed walk for that tick: the same rows, values and
+  // version byte, for scalar, histogram and top-k rows alike.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  shard::AnyCounter& hits = registry.create("hits", {ErrorModel::kExact, 0, 1});
+  shard::AnyCounter& misses =
+      registry.create("misses", {ErrorModel::kExact, 0, 1});
+  registry.create("quiet", {ErrorModel::kExact, 0, 1});
+  stats::HistogramSpec spec;
+  spec.bounds = {10, 100};
+  spec.k = 1;
+  spec.shards = 1;
+  shard::AnyHistogram* latency =
+      stats::create_histogram<base::DirectBackend>(registry, "latency", spec);
+  shard::AnyTopK* talkers =
+      stats::create_topk<base::DirectBackend>(registry, "talkers", 4);
+  ASSERT_NE(latency, nullptr);
+  ASSERT_NE(talkers, nullptr);
+  ServerOptions options;
+  options.period = 5ms;
+  options.shm_enable = false;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+  RawSubscriber sub;
+  ASSERT_TRUE(sub.connect(server.port()));
+
+  bool checked = false;
+  for (int round = 0; round < 20 && !checked; ++round) {
+    // One burst, then quiet: the last delta that carries entries is
+    // then the newest change the registry's walk knows about.
+    hits.increment(0);
+    misses.increment(0);
+    latency->record(0, 50);
+    latency->flush(0);
+    talkers->update(0, "peer" + std::to_string(round % 3),
+                    10 + static_cast<std::uint64_t>(round));
+    std::optional<RawFrame> changed;
+    for (int heartbeats = 0; heartbeats < 3;) {
+      std::optional<RawFrame> frame = sub.next(kFrameTimeout);
+      ASSERT_TRUE(frame.has_value());
+      if (frame->kind != FrameKind::kDelta) continue;
+      if (frame->entries > 0) {
+        changed = std::move(frame);
+        heartbeats = 0;
+      } else {
+        ++heartbeats;
+      }
+    }
+    // A reader that fell a tick behind got a catch-up instead of the
+    // shared delta: take another burst.
+    if (!changed || changed->base_seq + 1 != changed->sequence) continue;
+    std::vector<DeltaEntry> entries;
+    ASSERT_TRUE(registry
+                    .for_each_changed_since(
+                        changed->base_seq, changed->registry_version,
+                        [&](std::size_t index, const std::string& /*name*/,
+                            std::uint64_t value, std::uint64_t /*seq*/,
+                            const std::vector<std::uint64_t>* counts,
+                            const std::vector<std::string>* labels) {
+                          entries.emplace_back(
+                              index, value,
+                              counts != nullptr
+                                  ? *counts
+                                  : std::vector<std::uint64_t>{},
+                              labels != nullptr ? *labels
+                                                : std::vector<std::string>{});
+                        })
+                    .has_value());
+    std::string expected;
+    encode_delta_frame(changed->sequence, changed->registry_version,
+                       changed->collect_ns, changed->base_seq, entries,
+                       expected);
+    EXPECT_EQ(changed->wire, expected);
+    EXPECT_EQ(static_cast<std::uint8_t>(changed->wire[kFramePrefixBytes + 2]),
+              kTopKVersion);
+    checked = true;
+  }
+  EXPECT_TRUE(checked) << "never captured a shared tick delta";
+  server.stop();
+}
+
+TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
+  // A lagged subscriber's catch-up delta is encoded from a published
+  // frame, so it carries that frame's sequence AND its collect stamp —
+  // the same pair every in-step subscriber saw for that pass — whether
+  // the subscriber is unfiltered or in a filter group.
+  shard::RegistryT<base::DirectBackend> registry(2);
+  std::vector<shard::AnyCounter*> fleet;
+  for (int i = 0; i < 256; ++i) {
+    fleet.push_back(&registry.create("counter_" + std::to_string(1000 + i),
+                                     {ErrorModel::kExact, 0, 1}));
+  }
+  ServerOptions options;
+  options.period = 2ms;
+  options.sndbuf = 4096;  // a lagging reader jams within a few frames
+  options.shm_enable = false;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  // The observer keeps up and records each pass's (sequence, stamp).
+  RawSubscriber observer;
+  ASSERT_TRUE(observer.connect(server.port()));
+  std::mutex stamps_mutex;
+  std::map<std::uint64_t, std::uint64_t> stamps;
+  std::atomic<bool> stop{false};
+  std::thread observing([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::optional<RawFrame> frame = observer.next(20ms);
+      if (!frame) continue;
+      std::lock_guard lock(stamps_mutex);
+      stamps[frame->sequence] = frame->collect_ns;
+    }
+  });
+  RawSubscriber unfiltered;
+  ASSERT_TRUE(unfiltered.connect(server.port(), 4096));
+  RawSubscriber filtered;
+  ASSERT_TRUE(filtered.connect(server.port(), 4096));
+  SubscriptionFilter filter;
+  filter.prefixes = {"counter_10"};  // counter_1000..counter_1099
+  std::string subscribe;
+  ASSERT_TRUE(encode_subscribe_record(filter, subscribe));
+  ASSERT_TRUE(filtered.send(subscribe));
+
+  std::thread churner([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (shard::AnyCounter* counter : fleet) counter->increment(0);
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  // Stall both readers, then drain each until it takes a catch-up
+  // delta (its base lags its label by more than one pass). The
+  // filtered reader's count only once its subset full (100 rows) has
+  // re-based it.
+  std::vector<RawFrame> catch_ups[2];
+  RawSubscriber* readers[2] = {&unfiltered, &filtered};
+  bool subset_based = false;
+  for (int round = 0; round < 10; ++round) {
+    std::this_thread::sleep_for(30ms);
+    for (int r = 0; r < 2; ++r) {
+      for (int i = 0; i < 100; ++i) {
+        std::optional<RawFrame> frame = readers[r]->next(kFrameTimeout);
+        ASSERT_TRUE(frame.has_value());
+        if (r == 1 && frame->kind == FrameKind::kFull) {
+          subset_based = frame->entries == 100;
+        }
+        if (frame->kind == FrameKind::kDelta &&
+            frame->base_seq + 1 < frame->sequence) {
+          if (r == 0 || subset_based) catch_ups[r].push_back(*frame);
+          break;
+        }
+      }
+    }
+  }
+  std::this_thread::sleep_for(50ms);  // let the observer see the last pass
+  stop.store(true, std::memory_order_release);
+  churner.join();
+  observing.join();
+
+  EXPECT_GT(server.stats().catchup_deltas_sent, 0u);
+  std::lock_guard lock(stamps_mutex);
+  for (int r = 0; r < 2; ++r) {
+    int matched = 0;
+    for (const RawFrame& frame : catch_ups[r]) {
+      const auto it = stamps.find(frame.sequence);
+      if (it == stamps.end()) continue;  // the observer coalesced it
+      EXPECT_EQ(frame.collect_ns, it->second)
+          << (r == 0 ? "unfiltered" : "filtered") << " catch-up labeled "
+          << frame.sequence << " carries another pass's stamp";
+      ++matched;
+    }
+    EXPECT_GT(matched, 0) << (r == 0 ? "unfiltered" : "filtered")
+                          << ": no catch-up delta to check";
+  }
   server.stop();
 }
 

@@ -527,7 +527,8 @@ TEST(WireFiltered, FilteredFullDefinesSubsetTableAndSubsetDeltasApply) {
   const TelemetryFrame frame = synthetic_frame(5, 11);
   const std::vector<std::uint64_t> selection = {1, 4, 7};
   std::string wire;
-  encode_full_frame_filtered(frame, selection, 777, wire);
+  encode_full_frame_filtered(frame, selection, 777, frame.registry_version,
+                             wire);
   EXPECT_EQ(prefix_of(wire), wire.size() - kFramePrefixBytes);
 
   MaterializedView view;

@@ -331,5 +331,135 @@ TEST(WireStats, DeltaShapeMismatchesAreCorruptAndAtomic) {
   EXPECT_EQ(view.sequence(), 2u);
 }
 
+// --- frame-based delta encode ------------------------------------------
+//
+// The server encodes every delta straight from a published frame
+// (encode_delta_frame over DeltaRefs). Its bytes must equal the
+// DeltaEntry encoder's over the same rows' copied payloads — one entry
+// grammar, one version rule — with each frame's version byte pinned.
+
+/// Five rows in name order: scalar, histogram, multi-byte scalar, top-k,
+/// scalar — every delta entry shape, interleaved.
+TelemetryFrame every_shape_frame() {
+  TelemetryFrame frame;
+  frame.sequence = 9;
+  frame.registry_version = 31;
+  Sample a;
+  a.name = "a_scalar";
+  a.value = 7;
+  frame.samples.push_back(a);
+  frame.samples.push_back(histogram_sample("h_hist"));
+  Sample m;
+  m.name = "m_scalar";
+  m.model = ErrorModel::kAdditive;
+  m.error_bound = 64;
+  m.value = 300;  // a two-byte varint
+  frame.samples.push_back(m);
+  Sample t;
+  t.name = "t_top";
+  t.model = ErrorModel::kTopK;
+  t.top_labels = {"alpha", "beta"};
+  t.bucket_counts = {40, 3};
+  t.value = 40;
+  frame.samples.push_back(t);
+  Sample z;
+  z.name = "z_scalar";
+  z.value = std::numeric_limits<std::uint64_t>::max();
+  frame.samples.push_back(z);
+  return frame;
+}
+
+/// Encodes `refs` from `frame` both ways and checks the bytes agree and
+/// carry `version`. Returns the frame-based encode.
+std::string expect_identical_delta(const TelemetryFrame& frame,
+                                   std::uint64_t wire_regver,
+                                   const std::vector<DeltaRef>& refs,
+                                   std::uint8_t version) {
+  std::vector<DeltaEntry> entries;
+  for (const DeltaRef& ref : refs) {
+    const Sample& sample = frame.samples[ref.flat];
+    entries.emplace_back(ref.wire, sample.value, sample.bucket_counts,
+                         sample.top_labels);
+  }
+  std::string from_entries;
+  encode_delta_frame(frame.sequence, wire_regver, 1234, 8, entries,
+                     from_entries);
+  std::string from_frame;
+  encode_delta_frame(frame, wire_regver, 1234, 8, refs, from_frame);
+  EXPECT_EQ(from_frame, from_entries);
+  EXPECT_EQ(static_cast<std::uint8_t>(payload_of(from_frame)[2]), version);
+  return from_frame;
+}
+
+TEST(WireFrameDelta, ScalarRowsMatchTheEntryEncodeAsFrozenV1) {
+  const TelemetryFrame frame = every_shape_frame();
+  expect_identical_delta(frame, frame.registry_version,
+                         {{0, 0}, {2, 2}, {4, 4}}, kWireVersion);
+}
+
+TEST(WireFrameDelta, HistogramRowMatchesTheEntryEncodeAsV4) {
+  const TelemetryFrame frame = every_shape_frame();
+  expect_identical_delta(frame, frame.registry_version,
+                         {{0, 0}, {1, 1}, {2, 2}}, kVectorVersion);
+}
+
+TEST(WireFrameDelta, TopKRowMatchesTheEntryEncodeAsV5AndApplies) {
+  TelemetryFrame frame = every_shape_frame();
+  const std::string delta = expect_identical_delta(
+      frame, frame.registry_version, {{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}},
+      kTopKVersion);
+  // The view at the base sequence takes it and ends up at the frame.
+  TelemetryFrame base = frame;
+  base.sequence = 8;
+  base.samples[0].value = 1;
+  base.samples[3].top_labels = {"alpha"};
+  base.samples[3].bucket_counts = {2};
+  base.samples[3].value = 2;
+  std::string full;
+  encode_full_frame(base, 0, full);
+  MaterializedView view;
+  ASSERT_EQ(view.apply(payload_of(full)), ApplyResult::kApplied);
+  ASSERT_EQ(view.apply(payload_of(delta)), ApplyResult::kApplied);
+  EXPECT_EQ(view.sequence(), frame.sequence);
+  EXPECT_EQ(view.last_collect_ns(), 1234u);
+  for (std::size_t i = 0; i < frame.samples.size(); ++i) {
+    EXPECT_EQ(view.samples()[i].value, frame.samples[i].value) << i;
+    EXPECT_EQ(view.samples()[i].bucket_counts, frame.samples[i].bucket_counts)
+        << i;
+    EXPECT_EQ(view.samples()[i].top_labels, frame.samples[i].top_labels) << i;
+  }
+}
+
+TEST(WireFrameDelta, SubsetRowsShipWireIndicesNotFlatOnes) {
+  // A filter group selecting rows {1, 3, 4}: its subscribers' table is
+  // that subset, so the delta names rows by subset position (0, 1, 2)
+  // and carries the group's pinned wire version, not the frame's.
+  TelemetryFrame frame = every_shape_frame();
+  const std::vector<std::uint64_t> selection = {1, 3, 4};
+  constexpr std::uint64_t kPinned = 30;
+  const std::string delta = expect_identical_delta(
+      frame, kPinned, {{0, 1}, {1, 3}, {2, 4}}, kTopKVersion);
+  TelemetryFrame base = frame;
+  base.sequence = 8;
+  base.samples[4].value = 5;
+  std::string full;
+  encode_full_frame_filtered(base, selection, 0, kPinned, full);
+  MaterializedView view;
+  ASSERT_EQ(view.apply(payload_of(full)), ApplyResult::kApplied);
+  ASSERT_EQ(view.apply(payload_of(delta)), ApplyResult::kApplied);
+  ASSERT_EQ(view.samples().size(), selection.size());
+  for (std::size_t j = 0; j < selection.size(); ++j) {
+    const Sample& want = frame.samples[selection[j]];
+    EXPECT_EQ(view.samples()[j].name, want.name) << j;
+    EXPECT_EQ(view.samples()[j].value, want.value) << j;
+    EXPECT_EQ(view.samples()[j].bucket_counts, want.bucket_counts) << j;
+  }
+}
+
+TEST(WireFrameDelta, EmptyHeartbeatMatchesTheEntryEncode) {
+  const TelemetryFrame frame = every_shape_frame();
+  expect_identical_delta(frame, frame.registry_version, {}, kWireVersion);
+}
+
 }  // namespace
 }  // namespace approx::svc
