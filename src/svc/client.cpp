@@ -178,7 +178,7 @@ bool TelemetryClient::record_applied(std::uint64_t frames_before,
     // filter admits) — otherwise it is a pre-request full that was
     // already in flight: re-arm.
     bool satisfied = view_.sequence() > rebase_floor_seq_;
-    if (satisfied && !subscribed_filter_.pass_all()) {
+    if (satisfied) {
       for (const shard::Sample& sample : view_.samples()) {
         if (!subscribed_filter_.matches(sample.name)) {
           satisfied = false;

@@ -89,7 +89,6 @@ class ServerCore {
     }
     if (options_.shm_slots == 0) options_.shm_slots = 1;
     if (options_.shm_slot_bytes == 0) options_.shm_slot_bytes = 4096;
-    group_table_.store(new GroupTable, std::memory_order_relaxed);
   }
 
   ~ServerCore() {
@@ -158,6 +157,15 @@ class ServerCore {
       }
       workers_.push_back(std::move(worker));
     }
+    // The pass-all group carries every subscriber that has no filter.
+    // It is in the table before the collector's first pass, and the
+    // server's own ref keeps it there for the whole run.
+    pass_all_ = std::make_shared<FilterGroup>();
+    pass_all_->key = pass_all_->filter.canonical_key();
+    pass_all_->refs = 1;
+    auto table = std::make_unique<GroupTable>();
+    table->by_key.emplace(pass_all_->key, pass_all_);
+    group_table_.store(table.release(), std::memory_order_release);
     running_.store(true, std::memory_order_release);
     for (unsigned i = 0; i < options_.io_threads; ++i) {
       workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
@@ -183,15 +191,11 @@ class ServerCore {
     // will see no new frames, then EOF on its TCP side).
     shm_.destroy();
     shm_offer_frame_.reset();
-    {
-      // Swap in a fresh empty table; post-join there are no readers, so
-      // the old table (and through it every group and its last tick)
-      // dies immediately, and the epoch backlog drains unsafely.
-      std::lock_guard wlock(groups_writer_mutex_);
-      const GroupTable* old =
-          group_table_.exchange(new GroupTable, std::memory_order_acq_rel);
-      delete old;  // worker-held group refs died with workers_
-    }
+    // Post-join there are no readers, so the table (and through it every
+    // group and its last tick) dies immediately, and the epoch backlog
+    // drains unsafely. start() builds the next run's table.
+    delete group_table_.exchange(nullptr, std::memory_order_acq_rel);
+    pass_all_.reset();  // worker-held group refs died with workers_
     epochs_.drain_unsafe();
   }
 
@@ -294,6 +298,9 @@ class ServerCore {
     /// sequence], under wire_regver (null: suppressed or re-based).
     std::shared_ptr<const std::string> delta;
     std::uint64_t delta_base = 0;
+    /// Frames the group has shipped so far, this pass's included (the
+    /// measure frames_coalesced counts skipped frames in).
+    std::uint64_t frames = 0;
     /// The pass's collected frame (the aggregator's published frame,
     /// shared by pointer with every group's tick) and the selection it
     /// was filtered with — the coherent (snapshot, selection,
@@ -306,6 +313,9 @@ class ServerCore {
   /// One subscription filter's server-side state: every client that
   /// SUBSCRIBEd with the same canonical filter shares one of these, and
   /// with it this tick's single delta encode and the lazily-built full.
+  /// A client that never SUBSCRIBEd is in the pass-all group, whose
+  /// selection is every row: its frames are byte for byte the unfiltered
+  /// v1 stream, and it never suppresses a quiet tick.
   /// Ownership: `refs` is guarded by groups_writer_mutex_; the
   /// selection/basis fields are collector-private pass scratch (workers
   /// only ever see the immutable copies published in GroupTicks); the
@@ -333,6 +343,7 @@ class ServerCore {
     /// ticks do not advance it, so the next delta still covers them.
     std::uint64_t sent_seq = 0;
     unsigned ticks_suppressed = 0;
+    std::uint64_t frames = 0;  // see GroupTick::frames
     /// The RCU-published per-tick state. Null until the collector's
     /// first pass over the group. Superseded ticks are retired through
     /// the epoch domain; the last one dies with the group (a reader
@@ -352,17 +363,11 @@ class ServerCore {
     std::unordered_map<std::string, std::shared_ptr<FilterGroup>> by_key;
   };
 
-  /// Everything the collector publishes per tick; workers copy it under
-  /// published_mutex_ (shared_ptr payloads make the copy O(1)).
+  /// What the collector publishes per tick besides the group ticks;
+  /// workers copy it under published_mutex_ (shared_ptr payloads make
+  /// the copy O(1)).
   struct PublishedFrame {
-    std::uint64_t seq = 0;
-    std::uint64_t base_seq = 0;  // shared delta's basis (previous tick)
-    std::uint64_t registry_version = 0;
-    std::uint64_t collect_ns = 0;
-    /// The pass's collected frame; the unfiltered full is encoded from
-    /// it on demand (unfiltered_full). Null before the first pass.
-    std::shared_ptr<const shard::TelemetryFrame> frame;
-    std::shared_ptr<const std::string> delta;  // null: no shared delta
+    std::uint64_t seq = 0;  // 0 before the first pass
     /// Newest rendered metricsz page (a full kMetricsz stream frame) and
     /// the collect sequence it was rendered at. Carried forward across
     /// ticks (rendering is on demand); null until first requested.
@@ -376,9 +381,12 @@ class ServerCore {
     std::size_t off = 0;
     std::uint64_t sent_seq = 0;  // newest frame fully handed to out
     std::uint64_t sent_regver = 0;
+    std::uint64_t sent_frames = 0;  // its group's GroupTick::frames then
     std::uint64_t acked_seq = 0;
     std::string inbuf;  // partial ack/control bytes
-    std::shared_ptr<FilterGroup> group;  // null: unfiltered (v1)
+    /// The client's filter group; the pass-all group until a SUBSCRIBE
+    /// moves it. Never null once the client is adopted.
+    std::shared_ptr<FilterGroup> group;
     bool force_full = false;  // RESYNC or filter change pending
     bool shm_offer_pending = false;  // SHM_REQUEST seen; offer next
     /// SHM_ACCEPT seen: the ring carries this client's data frames; we
@@ -387,11 +395,11 @@ class ServerCore {
     bool shm_consuming = false;
     /// Ack-deadline eviction clock (ServerOptions::ack_deadline_ticks).
     /// Armed (at the then-current pub.seq) when the client is owed
-    /// frames; re-armed on any progress (ack advance, partial-write
-    /// drain); disarmed when nothing is owed. 0 = disarmed.
+    /// frames; re-armed on any progress (ack advance, drained byte);
+    /// disarmed when nothing is owed. 0 = disarmed.
     std::uint64_t ack_wait_since = 0;
-    std::uint64_t ack_wait_acked = 0;  // acked_seq when armed
-    std::size_t ack_wait_off = 0;      // in-flight drain offset when armed
+    std::uint64_t ack_wait_acked = 0;    // acked_seq when armed
+    std::uint64_t ack_wait_flushed = 0;  // bytes_flushed when armed
     /// Self-metrics bookkeeping: "ip:port" of the peer (the
     /// top_talkers label) and cumulative bytes flushed to it — monotone
     /// by construction, so the top-k max-register fold is exact.
@@ -439,7 +447,6 @@ class ServerCore {
     std::vector<DeltaRef> changed;
     std::vector<DeltaRef> group_subset;  // per-group intersect scratch
     std::uint64_t prev_seq = 0;
-    std::uint64_t prev_regver = 0;
     // Metricsz page carried forward tick to tick (rendered on demand).
     std::shared_ptr<const std::string> metricsz_cache;
     std::uint64_t metricsz_cache_seq = 0;
@@ -455,43 +462,18 @@ class ServerCore {
       const std::uint64_t collect_ns = steady_now_ns();
       PublishedFrame pub;
       pub.seq = frame.sequence;
-      pub.registry_version = frame.registry_version;
-      pub.collect_ns = collect_ns;
-      pub.frame = shared;
-      // Encode buffers are freshly allocated per tick and retired by
-      // refcount once the last subscriber drains them: a slow reader
-      // holding tick N's bytes never blocks (or races with) tick N+1's
-      // encode. Deliberately NOT a use_count()==1 reuse scheme — the
-      // relaxed use_count load would not order a subscriber's last read
-      // of the buffer before our overwrite. The unfiltered full is not
-      // encoded here at all: at steady state nobody takes it, so it is
-      // encoded on demand, at most once per tick (unfiltered_full).
-      bool changed_valid = false;  // the changed walk succeeded
+      // The changed walk names every row this frame changed since
+      // prev_seq; each filter group's pass intersects it with its
+      // selection. A create racing in since our pass shifts flat-table
+      // indices; the walk then fails and this tick ships no deltas at
+      // all — subscribers heal via full frames, and the next tick
+      // re-collects under the new version. The collector is the
+      // registry's only sequencer, so on success the rows it names are
+      // exactly those this frame changed since prev_seq.
+      bool changed_valid = false;
       if (prev_seq != 0) {
-        // A create racing in since our pass shifts flat-table indices;
-        // the walk then fails and this tick ships no deltas at all —
-        // subscribers get the (old-table) full frame, and the next tick
-        // re-collects under the new version. The collector is the
-        // registry's only sequencer, so on success the rows it names
-        // are exactly those this frame changed since prev_seq.
-        if (hooks_.changed_since(prev_seq, frame.registry_version, nullptr,
-                                 changed)) {
-          changed_valid = true;
-          if (prev_regver == frame.registry_version) {
-            auto delta = std::make_shared<std::string>();
-            encode_delta_frame(frame, frame.registry_version, collect_ns,
-                               prev_seq, changed, *delta);
-            pub.base_seq = prev_seq;
-            pub.delta = std::move(delta);
-          }
-          // else: the table changed cleanly between ticks. Unfiltered
-          // clients re-base via fulls (their indices shifted), but the
-          // changed refs index the NEW table — exactly what the group
-          // pass consumes, so filter groups whose subset the create did
-          // not touch keep their delta stream flowing under a pinned
-          // wire label instead of re-encoding a full each (see
-          // FilterGroup::wire_regver).
-        }
+        changed_valid = hooks_.changed_since(prev_seq, frame.registry_version,
+                                             nullptr, changed);
       }
       // Filter-group pass, BEFORE publication — and fully lock-free for
       // the workers: the collector reads the RCU-published group table
@@ -504,11 +486,10 @@ class ServerCore {
       // created by a worker during this pass is simply absent from the
       // table we pinned — the NEXT pass seeds its basis, and its
       // subscribers' first filtered full lands at that pass or later,
-      // so no delta ever skips a tick they saw.
-      //
-      // version_raced ticks (the changed walk was unusable) publish a
-      // delta-less tick and keep the basis — subscribers heal via full
-      // frames against the new version next tick.
+      // so no delta ever skips a tick they saw. Encode buffers are
+      // freshly allocated per tick and retired by refcount once the
+      // last subscriber drains them: a slow reader holding tick N's
+      // bytes never blocks (or races with) tick N+1's encode.
       {
         const base::EpochDomain::Guard eguard(epochs_);
         const GroupTable* table =
@@ -521,18 +502,24 @@ class ServerCore {
       // Reap tables/ticks whose grace period has passed — outside the
       // guard (our own pin would hold the horizon back).
       epochs_.reclaim();
-      // The shm ring gets the same bytes the unfiltered TCP stream
-      // carries this tick (the shared delta when one exists, else the
-      // full — encoded here, and cached for any TCP subscriber that
-      // needs it this tick), minus the u32le stream prefix — ring slots
-      // carry their own length, and readers hand the payload straight
-      // to the view.
+      // The shm ring carries the pass-all group's frame: its tick delta,
+      // or its full (encoded here, and cached for any TCP subscriber
+      // that needs it this tick) on a tick without one — minus the u32le
+      // stream prefix: ring slots carry their own length, and readers
+      // hand the payload straight to the view. Counted before the write,
+      // so the count is visible no later than the frame.
       if (shm_.active() && !ring_broken_.load(std::memory_order_relaxed)) {
+        // Only the collector publishes ticks: a relaxed read of our own
+        // store is exact, and the pass above just published one.
+        const GroupTick& tick =
+            *pass_all_->tick.load(std::memory_order_relaxed);
         const std::shared_ptr<const std::string> bytes =
-            pub.delta ? pub.delta : unfiltered_full(pub);
-        if (shm_.publish(
-                std::string_view(*bytes).substr(kFramePrefixBytes))) {
+            tick.delta ? tick.delta : cached_full(*pass_all_, tick);
+        const std::string_view payload =
+            std::string_view(*bytes).substr(kFramePrefixBytes);
+        if (payload.size() <= shm_.slot_payload_bytes()) {
           shm_frames_published_.fetch_add(1, std::memory_order_relaxed);
+          shm_.publish(payload);  // cannot fail: the ring is up and it fits
         } else {
           shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
           ring_broken_.store(true, std::memory_order_relaxed);
@@ -567,10 +554,7 @@ class ServerCore {
       // succeeded: a raced tick's changes must ride the next delta (the
       // walk from the older basis covers them), or filter groups, which
       // keep their basis through the raced tick, would never see them.
-      if (prev_seq == 0 || changed_valid) {
-        prev_seq = frame.sequence;
-        prev_regver = frame.registry_version;
-      }
+      if (prev_seq == 0 || changed_valid) prev_seq = frame.sequence;
       collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
       // Self-metrics: per-stage timings into the `__sys/` histograms and
       // the tick's gauge refresh (next tick's collect pass picks both
@@ -696,12 +680,17 @@ class ServerCore {
     retired_io_cpu_ns_.fetch_add(thread_cpu_ns(), std::memory_order_relaxed);
   }
 
+  /// Adopts accepted connections; each joins the pass-all group.
   void adopt_inbox(Worker& worker) {
     std::lock_guard lock(worker.inbox_mutex);
+    if (worker.inbox.empty()) return;
+    std::lock_guard wlock(groups_writer_mutex_);
     for (int fd : worker.inbox) {
       Client client;
       client.fd = fd;
       client.peer = peer_label(fd);
+      client.group = pass_all_;
+      ++pass_all_->refs;
       worker.clients.push_back(std::move(client));
     }
     worker.inbox.clear();
@@ -786,7 +775,7 @@ class ServerCore {
   /// when the client was evicted (and closed). The predicate is "owed
   /// AND stalled": a peer holding an undrained in-flight buffer or
   /// unacked fully-sent frames, with neither its acked_seq nor its
-  /// partial-write offset moving for the deadline's worth of ticks, is
+  /// drained byte count moving for the deadline's worth of ticks, is
   /// half-open or frozen — close it so its socket and pinned
   /// shared-encode refcount come back. A slow-but-live reader resets
   /// the clock on every ack or drained byte; an shm consumer never
@@ -804,13 +793,14 @@ class ServerCore {
       client.ack_wait_since = 0;
       return false;
     }
-    const bool progressed =
-        client.acked_seq > client.ack_wait_acked ||
-        (client.out != nullptr && client.off > client.ack_wait_off);
+    // Bytes drained count whether or not they finished a frame: a reader
+    // that takes each frame in one send() leaves no partial offset.
+    const bool progressed = client.acked_seq > client.ack_wait_acked ||
+                            client.bytes_flushed > client.ack_wait_flushed;
     if (client.ack_wait_since == 0 || progressed) {
       client.ack_wait_since = pub.seq;
       client.ack_wait_acked = client.acked_seq;
-      client.ack_wait_off = client.out ? client.off : 0;
+      client.ack_wait_flushed = client.bytes_flushed;
       return false;
     }
     if (pub.seq - client.ack_wait_since < options_.ack_deadline_ticks) {
@@ -835,7 +825,7 @@ class ServerCore {
     ::close(client.fd);
     client.fd = -1;
     drop_inflight(client);
-    if (client.group) {
+    {
       std::lock_guard wlock(groups_writer_mutex_);
       release_group_writer_locked(client);
     }
@@ -845,9 +835,9 @@ class ServerCore {
   }
 
   /// Caller holds groups_writer_mutex_. Drops the client's group ref;
-  /// the last ref republishes the table without the group.
+  /// the last ref republishes the table without the group (never the
+  /// pass-all group's: the server holds a ref to it).
   void release_group_writer_locked(Client& client) {
-    if (!client.group) return;
     if (--client.group->refs == 0) {
       const GroupTable* table =
           group_table_.load(std::memory_order_relaxed);
@@ -867,8 +857,8 @@ class ServerCore {
     if (old != nullptr) epochs_.retire(old);
   }
 
-  /// Moves the client onto `filter`'s group (or back to the unfiltered
-  /// stream for a pass-all filter) and schedules the re-basing full.
+  /// Moves the client onto `filter`'s group (a pass-all filter finds the
+  /// pass-all group by its key) and schedules the re-basing full.
   /// Membership changes are the RARE writer path of the RCU scheme:
   /// serialized on groups_writer_mutex_, they copy the current table
   /// (shared_ptr values — O(groups) pointer copies), edit the copy off
@@ -877,31 +867,29 @@ class ServerCore {
   void apply_subscription(Client& client, SubscriptionFilter filter) {
     std::lock_guard wlock(groups_writer_mutex_);
     release_group_writer_locked(client);
-    if (!filter.pass_all()) {
-      const GroupTable* table =
-          group_table_.load(std::memory_order_relaxed);
-      std::string key = filter.canonical_key();
-      auto it = table->by_key.find(key);
-      if (it != table->by_key.end()) {
-        ++it->second->refs;
-        client.group = it->second;
-      } else {
-        // A fresh group enters the table with no tick: the collector's
-        // next pass seeds its basis at that pass's sequence, and its
-        // subscribers' first filtered full lands at or after it — no
-        // delta ever skips a tick they saw.
-        auto group = std::make_shared<FilterGroup>();
-        group->key = key;
-        group->filter = std::move(filter);
-        group->refs = 1;
-        client.group = group;
-        auto next = std::make_unique<GroupTable>(*table);
-        next->by_key.emplace(std::move(key), std::move(group));
-        publish_table_writer_locked(std::move(next));
-      }
+    const GroupTable* table = group_table_.load(std::memory_order_relaxed);
+    std::string key = filter.canonical_key();
+    auto it = table->by_key.find(key);
+    if (it != table->by_key.end()) {
+      ++it->second->refs;
+      client.group = it->second;
+    } else {
+      // A fresh group enters the table with no tick: the collector's
+      // next pass seeds its basis at that pass's sequence, and its
+      // subscribers' first filtered full lands at or after it — no
+      // delta ever skips a tick they saw.
+      auto group = std::make_shared<FilterGroup>();
+      group->key = key;
+      group->filter = std::move(filter);
+      group->refs = 1;
+      client.group = group;
+      auto next = std::make_unique<GroupTable>(*table);
+      next->by_key.emplace(std::move(key), std::move(group));
+      publish_table_writer_locked(std::move(next));
     }
+    client.sent_frames = 0;  // a new group's stream: nothing skipped yet
     trace(obs::TraceKind::kSubscribe, static_cast<std::uint64_t>(client.fd),
-          client.group ? client.group->refs : 0);
+          client.group->refs);
     client.force_full = true;
   }
 
@@ -969,8 +957,8 @@ class ServerCore {
         if (control.kind == FrameKind::kSubscribe) {
           apply_subscription(client, std::move(control.filter));
           // A subscription moves the client's data path back to TCP
-          // entirely: filtered frames cannot come off the (unfiltered)
-          // ring, and the client detached before sending SUBSCRIBE.
+          // entirely: the ring carries only the pass-all group's frames,
+          // and the client detached before sending SUBSCRIBE.
           client.shm_consuming = false;
           subscribes_received_.fetch_add(1, std::memory_order_relaxed);
           if (sys_on_) sys_.subscribes_received->inc(t_wpid);
@@ -985,10 +973,10 @@ class ServerCore {
           // No ring (disabled, create failed, broken): silently ignore
           // — the requester simply stays on TCP. A FILTERED subscriber
           // is likewise never offered the ring: the ring carries only
-          // unfiltered frames, whose indices would misdecode against
-          // the client's subset name table (see README's transport
-          // section for the per-group-ring upgrade path).
-          if (shm_offer_frame_ && client.group == nullptr &&
+          // the pass-all group's frames, whose indices would misdecode
+          // against the client's subset name table (see README's
+          // transport section for the per-group-ring upgrade path).
+          if (shm_offer_frame_ && client.group->filter.pass_all() &&
               !ring_broken_.load(std::memory_order_relaxed)) {
             client.shm_offer_pending = true;
           }
@@ -997,7 +985,7 @@ class ServerCore {
           // with a ring break) keeps the client on TCP. Same filtered-
           // subscriber guard as the offer: an accept that raced with a
           // SUBSCRIBE must not move a filtered client onto the ring.
-          if (shm_.active() && client.group == nullptr &&
+          if (shm_.active() && client.group->filter.pass_all() &&
               !ring_broken_.load(std::memory_order_relaxed) &&
               control.shm_generation == shm_.generation()) {
             client.shm_consuming = true;
@@ -1077,7 +1065,7 @@ class ServerCore {
       // The offer rides the data channel — framed like a data frame, it
       // lands between frames, never splitting one.
       client.shm_offer_pending = false;
-      if (shm_offer_frame_ && client.group == nullptr &&
+      if (shm_offer_frame_ && client.group->filter.pass_all() &&
           !ring_broken_.load(std::memory_order_relaxed)) {
         set_inflight(client, shm_offer_frame_);
         shm_offers_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -1117,66 +1105,18 @@ class ServerCore {
         return;  // data rides the ring: zero per-tick work here
       }
     }
-    if (client.group) {
-      service_filtered(client, changed_scratch);
-      return;
-    }
-    if (client.sent_seq >= pub.seq) return;
-    if (client.sent_seq != 0 && pub.seq > client.sent_seq + 1) {
-      frames_coalesced_.fetch_add(pub.seq - client.sent_seq - 1,
-                                  std::memory_order_relaxed);
-    }
-    const bool same_table = !client.force_full && client.sent_seq != 0 &&
-                            client.sent_regver == pub.registry_version;
-    if (same_table && client.sent_seq == pub.base_seq && pub.delta) {
-      set_inflight(client, pub.delta);  // in step: the shared tick delta
-      delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
-    } else if (same_table &&
-               hooks_.changed_since(client.sent_seq, pub.registry_version,
-                                    nullptr, changed_scratch)) {
-      // Lagged but (as of publication) same name table: a per-client
-      // catch-up delta over (sent_seq, pub.seq], encoded from the
-      // published frame and carrying its sequence and stamp. The walk
-      // ran after publication under the frame's registry version, which
-      // pins the flat index table; if a create shifted it meanwhile the
-      // walk fails and the full below goes out instead. The walk may see
-      // later passes, and that is safe: changed_seq only grows, so
-      // `changed_seq > sent_seq` names every row that moved in
-      // (sent_seq, pub.seq]; an extra row ships its frame value, which
-      // the client already holds, so applying it is idempotent.
-      auto delta = std::make_shared<std::string>();
-      encode_delta_frame(*pub.frame, pub.registry_version, pub.collect_ns,
-                         client.sent_seq, changed_scratch, *delta);
-      set_inflight(client, std::move(delta));
-      catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
-    } else {
-      // A new subscriber, a table change, a failed catch-up walk, or a
-      // RESYNC / pass-all re-subscribe (a fresh full now, no waiting for
-      // a table change): the tick's full. Always a strictly newer
-      // sequence (the pub.seq guard above), so the view applies it.
-      set_inflight(client, unfiltered_full(pub));
-      client.force_full = false;
-      full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
-    }
-    client.sent_seq = pub.seq;
-    client.sent_regver = pub.registry_version;
-    flush(client);
+    service_group(client, changed_scratch);
   }
 
-  /// Filtered-subscriber service: the same newest-frame/backpressure
-  /// policy, but against the client's filter group — and entirely
-  /// lock-free on the steady path. The group's current GroupTick is
-  /// snapshotted under an epoch guard (the shared_ptr copies extend
-  /// every payload past the guard), then served without ever touching a
-  /// mutex: re-basing filtered full when needed (the one rare path with
-  /// a per-group cache mutex), the group's shared tick delta when in
-  /// step, a per-client filtered catch-up delta when lagged, and
-  /// nothing at all while the subset is quiet.
-  void service_filtered(Client& client,
-                        std::vector<DeltaRef>& changed_scratch) {
+  /// The one steady service path: the newest-frame/backpressure policy
+  /// against the client's filter group, entirely lock-free on the steady
+  /// path. The group's current GroupTick is snapshotted under an epoch
+  /// guard (the shared_ptr copies extend every payload past the guard),
+  /// then served without ever touching a mutex: a re-basing full when
+  /// needed (the one rare path with a per-group cache mutex), the
+  /// group's shared tick delta when in step, a per-client catch-up delta
+  /// when lagged, and nothing at all while the subset is quiet.
+  void service_group(Client& client, std::vector<DeltaRef>& changed_scratch) {
     GroupTick tick;
     {
       const base::EpochDomain::Guard eguard(epochs_);
@@ -1189,13 +1129,15 @@ class ServerCore {
     // Re-base against the group's WIRE label, not the raw registry
     // version: a create outside the subset bumps the registry but not
     // wire_regver, so in-step subscribers keep streaming deltas instead
-    // of all taking a filtered full (the satellite-1 pin).
+    // of all taking a filtered full.
     if (client.force_full || client.sent_seq == 0 ||
         client.sent_regver != tick.wire_regver) {
+      // A new subscriber, a table change, a failed catch-up walk, or a
+      // RESYNC / re-subscribe (a fresh full now, no waiting for a table
+      // change): the tick's full, always of a strictly newer pass.
       if (pass <= client.sent_seq) return;  // re-base next tick
-      set_inflight(client, cached_full(client.group->full, *tick.snapshot,
-                                       tick.selection.get(), tick.wire_regver,
-                                       tick.collect_ns));
+      count_coalesced(client, tick);
+      set_inflight(client, cached_full(*client.group, tick));
       client.sent_seq = pass;
       client.sent_regver = tick.wire_regver;
       client.force_full = false;
@@ -1211,25 +1153,31 @@ class ServerCore {
       // than the client's frame: a delta moves the basis to `pass`.
       set_inflight(client, std::move(tick.delta));
       client.sent_seq = pass;
+      client.sent_frames = tick.frames;
       delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
       if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
       flush(client);
       return;
     }
-    // Lagged below the shared delta's basis: per-client filtered
-    // catch-up of what moved in its subset since its last fully-sent
-    // frame, walked against the tick's published selection — coherent
-    // with its sel_regver (and the tick's frame) by construction — and
-    // encoded from the tick's frame under the group's pinned wire
-    // version, the index space of the client's filtered table (the
-    // unfiltered catch-up's argument holds here too). The walk's
-    // version guard rejects it if the registry has moved past that
-    // version; the full path heals the client next round.
+    // Lagged below the shared delta's basis: a per-client catch-up of
+    // what moved in its subset since its last fully-sent frame, walked
+    // against the tick's published selection — coherent with its
+    // sel_regver (and the tick's frame) by construction — and encoded
+    // from the tick's frame under the group's pinned wire version, the
+    // index space of the client's table, carrying the frame's sequence
+    // and stamp. The walk's version guard rejects it if the registry
+    // has moved past that version (a create shifted the flat indices);
+    // the full path heals the client next round. The walk may see later
+    // passes, and that is safe: changed_seq only grows, so
+    // `changed_seq > sent_seq` names every row that moved in
+    // (sent_seq, pass]; an extra row ships its frame value, which the
+    // client already holds, so applying it is idempotent.
     if (!hooks_.changed_since(client.sent_seq, tick.sel_regver,
                               tick.selection.get(), changed_scratch)) {
       client.force_full = true;
       return;
     }
+    count_coalesced(client, tick);
     auto delta = std::make_shared<std::string>();
     encode_delta_frame(*tick.snapshot, tick.wire_regver, tick.collect_ns,
                        client.sent_seq, changed_scratch, *delta);
@@ -1240,42 +1188,42 @@ class ServerCore {
     flush(client);
   }
 
-  /// The full frame of `frame` — filtered by `selection` and labeled
-  /// `wire_regver` for a group, the whole frame (selection null, labeled
-  /// with the frame's own version) for unfiltered subscribers — encoding
-  /// it at most once per pass no matter how many takers need it: the
-  /// lazy, per-pass cache both full kinds share. A taker holding an
-  /// older pass's inputs (it raced the next publication) gets a fresh
-  /// encode of those inputs; the cache keeps the newest pass. The inputs
-  /// come from ONE published tick, so the (frame, selection, label,
-  /// stamp) tuple is coherent by construction.
-  std::shared_ptr<const std::string> cached_full(
-      FullCache& cache, const shard::TelemetryFrame& frame,
-      const std::vector<std::uint64_t>* selection, std::uint64_t wire_regver,
-      std::uint64_t collect_ns) {
+  /// A client taking a catch-up or a re-basing full instead of its
+  /// group's shared delta skipped the group's frames in between (a
+  /// suppressed quiet tick is no frame, so it is not counted).
+  void count_coalesced(Client& client, const GroupTick& tick) {
+    if (client.sent_frames != 0 && tick.frames > client.sent_frames + 1) {
+      frames_coalesced_.fetch_add(tick.frames - client.sent_frames - 1,
+                                  std::memory_order_relaxed);
+    }
+    client.sent_frames = tick.frames;
+  }
+
+  /// The group's full frame of `tick` — the tick's frame filtered by its
+  /// selection (every row for the pass-all group) and labeled with its
+  /// wire version — encoding it at most once per pass no matter how
+  /// many takers need it. A taker holding an older pass's tick (it raced
+  /// the next publication) gets a fresh encode of that tick; the cache
+  /// keeps the newest pass. The inputs come from ONE published tick, so
+  /// the (frame, selection, label, stamp) tuple is coherent by
+  /// construction.
+  std::shared_ptr<const std::string> cached_full(FilterGroup& group,
+                                                 const GroupTick& tick) {
+    FullCache& cache = group.full;
+    const shard::TelemetryFrame& frame = *tick.snapshot;
     std::lock_guard lock(cache.mutex);
     if (cache.full && cache.seq == frame.sequence) return cache.full;
     auto buf = std::make_shared<std::string>();
-    if (selection != nullptr) {
-      encode_full_frame_filtered(frame, *selection, collect_ns, wire_regver,
-                                 *buf);
-      filtered_full_encodes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      encode_full_frame(frame, collect_ns, *buf);
-      unfiltered_full_encodes_.fetch_add(1, std::memory_order_relaxed);
-    }
+    encode_full_frame_filtered(frame, *tick.selection, tick.collect_ns,
+                               tick.wire_regver, *buf);
+    auto& encodes = group.filter.pass_all() ? unfiltered_full_encodes_
+                                            : filtered_full_encodes_;
+    encodes.fetch_add(1, std::memory_order_relaxed);
     if (frame.sequence >= cache.seq) {
       cache.full = buf;
       cache.seq = frame.sequence;
     }
     return buf;
-  }
-
-  /// The published tick's unfiltered full, encoded on first demand.
-  std::shared_ptr<const std::string> unfiltered_full(
-      const PublishedFrame& pub) {
-    return cached_full(unfiltered_full_, *pub.frame, nullptr,
-                       pub.registry_version, pub.collect_ns);
   }
 
   /// Rebuilds the group's flat-index selection when the registry's
@@ -1286,6 +1234,8 @@ class ServerCore {
   /// unchanged selection SIZE across a version bump means an unchanged
   /// subset (names and order), merely shifted flat indices — the pin
   /// that lets disjoint creates leave the group's stream untouched.
+  /// Every version bump adds a row, so the pass-all group's selection
+  /// grows on each: its wire_regver is always the registry version.
   /// Collector thread only (the fields are collector-private; workers
   /// see the immutable copies published in GroupTicks).
   bool ensure_selection(FilterGroup& group,
@@ -1311,7 +1261,9 @@ class ServerCore {
   /// heartbeat is due), encodes the ONE delta every in-step subscriber
   /// of the group will share — then publishes it all as this pass's
   /// immutable GroupTick (RCU pointer swap; the superseded tick retires
-  /// through the epoch domain). Collector thread only.
+  /// through the epoch domain). The pass-all group never suppresses a
+  /// quiet tick: v1 clients and the shm ring's dead-writer probe rely on
+  /// a frame every tick. Collector thread only.
   void collector_group_pass(
       FilterGroup& group,
       const std::shared_ptr<const shard::TelemetryFrame>& snapshot,
@@ -1323,6 +1275,7 @@ class ServerCore {
     const bool first_pass =
         group.tick.load(std::memory_order_relaxed) == nullptr;
     const bool rebased = ensure_selection(group, frame);
+    const bool pass_all = group.filter.pass_all();
     std::shared_ptr<const std::string> delta;
     std::uint64_t delta_base = 0;
     if (first_pass || rebased) {
@@ -1331,32 +1284,39 @@ class ServerCore {
       // subscriber takes a filtered full from this tick.
       group.sent_seq = frame.sequence;
       group.ticks_suppressed = 0;
+      ++group.frames;
     } else if (!changed_valid) {
       // The changed walk was unusable this tick (registry version raced
       // the collect): ship nothing and keep the basis — the next delta
       // still covers this tick, and re-basing subscribers heal via the
       // tick's full.
     } else {
-      subset.clear();
-      // Both sides ascend by flat index: one two-pointer pass over
-      // plain integers. Matches keep their flat row (the encoder reads
-      // it from the frame) and take their SUBSET position as the wire
-      // index — the filtered table's index space.
+      // A selection of every row (the pass-all group's) maps each row
+      // to itself, so its subset is the changed walk as it stands.
       const std::vector<std::uint64_t>& selection = *group.selection;
-      std::size_t ci = 0;
-      std::size_t si = 0;
-      while (ci < changed.size() && si < selection.size()) {
-        if (changed[ci].flat < selection[si]) {
-          ++ci;
-        } else if (changed[ci].flat > selection[si]) {
-          ++si;
-        } else {
-          subset.push_back({si, selection[si]});
-          ++ci;
-          ++si;
+      const bool every_row = selection.size() == frame.samples.size();
+      if (!every_row) {
+        subset.clear();
+        // Both sides ascend by flat index: one two-pointer pass over
+        // plain integers. Matches keep their flat row (the encoder reads
+        // it from the frame) and take their SUBSET position as the wire
+        // index — the filtered table's index space.
+        std::size_t ci = 0;
+        std::size_t si = 0;
+        while (ci < changed.size() && si < selection.size()) {
+          if (changed[ci].flat < selection[si]) {
+            ++ci;
+          } else if (changed[ci].flat > selection[si]) {
+            ++si;
+          } else {
+            subset.push_back({si, selection[si]});
+            ++ci;
+            ++si;
+          }
         }
       }
-      if (subset.empty() &&
+      const std::vector<DeltaRef>& rows = every_row ? changed : subset;
+      if (rows.empty() && !pass_all &&
           ++group.ticks_suppressed < options_.group_heartbeat_ticks) {
         // Quiet subset: ship nothing this tick (basis stays put).
         group_deltas_suppressed_.fetch_add(1, std::memory_order_relaxed);
@@ -1367,12 +1327,15 @@ class ServerCore {
         // version: across disjoint creates the stream keeps flowing
         // under the old label and nobody re-bases.
         encode_delta_frame(frame, group.wire_regver, collect_ns,
-                           group.sent_seq, subset, *buf);
+                           group.sent_seq, rows, *buf);
         delta = std::move(buf);
         delta_base = group.sent_seq;
         group.sent_seq = frame.sequence;
         group.ticks_suppressed = 0;
-        filtered_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
+        ++group.frames;
+        if (!pass_all) {
+          filtered_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
     auto* tick = new GroupTick{.collect_ns = collect_ns,
@@ -1380,6 +1343,7 @@ class ServerCore {
                                .sent_seq = group.sent_seq,
                                .delta = std::move(delta),
                                .delta_base = delta_base,
+                               .frames = group.frames,
                                .snapshot = snapshot,
                                .selection = group.selection,
                                .sel_regver = group.sel_regver};
@@ -1409,9 +1373,9 @@ class ServerCore {
   std::atomic<unsigned> next_worker_{0};
   std::mutex published_mutex_;
   PublishedFrame published_;
-  /// The current tick's unfiltered full (PublishedFrame::frame encoded),
-  /// built by its first taker.
-  FullCache unfiltered_full_;
+  /// The pass-all group (see FilterGroup), built in start() and dropped
+  /// in stop(); threads only run in between, so they read it lock-free.
+  std::shared_ptr<FilterGroup> pass_all_;
   /// Filter groups, keyed by canonical filter (wire v2), RCU-published:
   /// the current immutable GroupTable hangs off this atomic pointer.
   /// Readers — the collector's pass and (indirectly, via the per-group

@@ -7,20 +7,17 @@
 //   * collector thread — every `period`, one sequenced aggregator pass
 //     (collect_shared: a recycled frame, filled once and published
 //     as-is — no frame copy anywhere; the pass feeds the registry's
-//     changed-since tracking), then ONE delta-since-previous-tick
-//     encode shared by every up-to-date subscriber. Every delta is
-//     encoded straight from a published frame (the changed walk yields
-//     row indices only). That frame is shared by pointer with the
-//     published tick, the filter groups' ticks and the shm path. The
-//     unfiltered full frame is encoded lazily, at most once per tick
-//     and only when something takes it — a new or re-basing
-//     subscriber, a RESYNC, a failed catch-up walk, or the shm ring on
-//     a tick without a shared delta
-//     (ServerStats::unfiltered_full_encodes) — through the same
-//     per-tick cache filtered fulls use. Encoded byte buffers are
-//     freshly allocated and retired by refcount when the last
-//     subscriber drains them, so a slow reader holding an old tick's
-//     bytes never blocks the next encode.
+//     changed-since tracking), then one changed walk (row indices
+//     only) and, per filter group, ONE delta encode shared by every
+//     up-to-date subscriber of the group, read straight from the
+//     frame, which every group's tick holds by pointer. A group's full
+//     frame is encoded lazily, at most once per tick and only when
+//     something takes it — a new or re-basing subscriber, a RESYNC, a
+//     failed catch-up walk, or the shm ring on a tick without a
+//     pass-all delta. Encoded byte buffers are freshly allocated and
+//     retired by refcount when the last subscriber drains them, so a
+//     slow reader holding an old tick's bytes never blocks the next
+//     encode.
 //
 //   * N I/O worker threads — a non-blocking poll() loop each, over a
 //     share of the subscriber sockets plus a self-pipe the collector
@@ -31,10 +28,10 @@
 //     in-flight encoded frame (partial writes keep an offset; POLLOUT
 //     resumes them) and no queue. A subscriber that drains slower than
 //     the tick rate simply skips frames: when its buffer drains the
-//     worker hands it the NEWEST frame — as the shared delta if it is
-//     exactly one tick behind, as a per-client catch-up delta (rows
-//     changed since its last fully-sent sequence) if it lagged but the
-//     name table is unchanged, or as the full frame otherwise. Memory
+//     worker hands it the NEWEST frame — as its group's shared delta if
+//     it is exactly one frame behind, as a per-client catch-up delta
+//     (rows changed since its last fully-sent sequence) if it lagged
+//     but the name table is unchanged, or as the full frame otherwise. Memory
 //     per client is O(one frame) regardless of how slow it reads;
 //     nobody is disconnected for being slow.
 //
@@ -44,29 +41,29 @@
 //     guaranteeing delivery of fully-written frames. Unknown inbound
 //     bytes are a protocol error and close that subscriber.
 //
-//   * control channel (wire v2) — subscribers may also send SUBSCRIBE /
-//     RESYNC control records (wire.hpp). A SUBSCRIBE installs a name
-//     filter: the client joins a *filter group* (keyed by the filter's
-//     canonical form) and from the next tick receives only the matching
-//     subset — a filtered full re-bases its name table, then
-//     group-shared filtered deltas. The collector builds at most ONE
-//     delta encode per filter group per tick (identically-filtered
-//     subscribers share it, exactly like the unfiltered pair; pinned by
-//     ServerStats::filtered_delta_encodes), and a tick on which a
-//     group's subset did not change ships nothing to that group
+//   * filter groups and the control channel (wire v2) — every
+//     subscriber is in exactly one *filter group* (keyed by the
+//     filter's canonical form). A new connection joins the pass-all
+//     group, which the server holds for its whole run: its selection
+//     is every row, so its frames are the v1 stream byte for byte, and
+//     it ships a frame every tick. A v1 client never sends control
+//     records and stays there. A SUBSCRIBE (wire.hpp) moves the client
+//     to its filter's group, and from the next tick it receives only
+//     the matching subset — a filtered full re-bases its name table,
+//     then group-shared filtered deltas. Identically-filtered
+//     subscribers share the group's one delta encode per tick (pinned
+//     by ServerStats::filtered_delta_encodes), and a tick on which a
+//     filtered group's subset did not change ships nothing to it
 //     (ServerStats::group_deltas_suppressed) until a heartbeat is due
 //     (ServerOptions::group_heartbeat_ticks) — a selective subscriber's
 //     receive cost scales with its subset's activity, not the fleet's.
-//     Filtered fulls are encoded lazily (first subscriber that needs
-//     one this tick) and cached per group+tick. A RESYNC short-circuits
-//     the "wait for the next table change" path: the client's next
-//     frame is a fresh full of its current subset, at the next tick at
-//     the latest. A v1 client simply never sends control records and
-//     sees the unchanged v1 stream.
+//     A RESYNC short-circuits the "wait for the next table change"
+//     path: the client's next frame is a fresh full of its current
+//     subset, at the next tick at the latest.
 //
 //   * shared-memory ring (wire v3) — when ServerOptions::shm_enable,
-//     the collector also publishes each tick's unfiltered frame (the
-//     shared delta, else the full) into a seqlock shm ring
+//     the collector also publishes the pass-all group's frame of each
+//     tick (its delta, else its full) into a seqlock shm ring
 //     (base/seqlock_ring.hpp via svc/shm.hpp). A same-host client
 //     sends SHM_REQUEST, receives SHM_OFFER (segment name, generation,
 //     geometry) on its data stream, maps the segment read-only and
@@ -76,7 +73,8 @@
 //     its size), while its TCP connection stays up for control,
 //     liveness and recovery: an overrun reader RESYNCs and the full
 //     goes over TCP; a SUBSCRIBE moves the client back to (filtered)
-//     TCP frames entirely. Remote and declining clients never notice.
+//     TCP frames entirely. Only pass-all clients are offered the ring.
+//     Remote and declining clients never notice.
 //
 // A catch-up delta is encoded from the published frame and carries its
 // sequence and collect stamp; the registry's version-guarded changed
@@ -116,13 +114,13 @@ struct ServerOptions {
   /// Tests shrink it to force the backpressure/coalescing path without
   /// megabytes of loopback buffering in the way.
   int sndbuf = 0;
-  /// A filter group whose subset did not change ships nothing — except
+  /// A filtered group whose subset did not change ships nothing — except
   /// one empty-delta heartbeat after this many consecutive suppressed
   /// ticks (liveness + sequence advance for its subscribers). Minimum 1
-  /// (1 = heartbeat every tick, v1 cadence).
+  /// (1 = heartbeat every tick, the pass-all group's v1 cadence).
   unsigned group_heartbeat_ticks = 16;
   /// Shared-memory snapshot ring (wire v3, see shm.hpp): when enabled
-  /// the collector also publishes each tick's unfiltered frame into a
+  /// the collector also publishes each tick's pass-all frame into a
   /// POSIX shm ring, and same-host clients that SHM_REQUEST it consume
   /// frames with zero syscalls and zero server-side per-reader work.
   /// Disabling (or a host without /dev/shm — create failure is
@@ -184,18 +182,22 @@ struct ServerStats {
   std::uint64_t full_frames_sent = 0;    // full encodes handed to clients
   std::uint64_t delta_frames_sent = 0;   // shared tick/group deltas
   std::uint64_t catchup_deltas_sent = 0; // per-client changed-since deltas
-  std::uint64_t frames_coalesced = 0;    // ticks skipped by slow readers
+  /// Frames of its group's stream a slow reader skipped: counted when it
+  /// takes a catch-up or a re-basing full instead of the group's shared
+  /// delta. A filtered group's suppressed quiet tick is no frame.
+  std::uint64_t frames_coalesced = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t acks_received = 0;
   std::uint64_t min_acked_seq = 0;  // slowest subscriber's acked frame
   // Wire v2 control channel + filter groups.
   std::uint64_t subscribes_received = 0;
   std::uint64_t resyncs_received = 0;
-  /// Unfiltered full-frame encodes actually performed. Lazy: zero on a
-  /// tick nobody needs a full, and at most one per tick however many
-  /// subscribers (and the shm ring) take it.
+  /// Full-frame encodes of the pass-all group actually performed. Lazy:
+  /// zero on a tick nobody needs a full, and at most one per tick
+  /// however many subscribers (and the shm ring) take it.
   std::uint64_t unfiltered_full_encodes = 0;
-  /// Distinct filtered encodes actually performed. The sharing pins:
+  /// Distinct encodes of the other (filtered) groups actually
+  /// performed; the pass-all group's count in neither. The sharing pins:
   /// K identically-filtered in-step subscribers over T ticks cost ~T
   /// delta encodes (not K·T) and ≤ a handful of full encodes.
   std::uint64_t filtered_full_encodes = 0;

@@ -351,6 +351,7 @@ void encode_delta_frame(const shard::TelemetryFrame& frame,
 }
 
 bool SubscriptionFilter::matches(std::string_view name) const {
+  if (pass_all()) return true;
   for (const std::string& candidate : exact) {
     if (name == candidate) return true;
   }

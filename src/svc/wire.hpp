@@ -236,7 +236,8 @@ inline constexpr std::size_t kMaxTopKLabelBytes = 128;
 
 /// A subscription filter: which counters a subscriber wants. A name
 /// matches if it equals one of `exact` or starts with one of
-/// `prefixes`; both lists empty means "everything" (v1 behavior).
+/// `prefixes`; both lists empty means "everything" (v1 behavior), and
+/// then every name matches.
 struct SubscriptionFilter {
   std::vector<std::string> exact;
   std::vector<std::string> prefixes;

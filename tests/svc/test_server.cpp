@@ -992,6 +992,13 @@ TEST(SnapshotServer, AckStalledPeerIsEvictedWhileLiveReaderStreams) {
   ASSERT_EQ(::connect(stalled, reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr)),
             0);
+  // A peer that never acks but whose roomy receive buffer keeps taking
+  // whole frames drains bytes every tick: live, so never evicted.
+  const int unacking = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(unacking, 0);
+  ASSERT_EQ(::connect(unacking, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
 
   TelemetryClient live;
   ASSERT_TRUE(live.connect(server.port()));
@@ -1023,8 +1030,10 @@ TEST(SnapshotServer, AckStalledPeerIsEvictedWhileLiveReaderStreams) {
   ASSERT_TRUE(live.poll_frame(kFrameTimeout));
   EXPECT_GT(live.view().sequence(), seq_before);
   EXPECT_TRUE(live.connected());
-  EXPECT_EQ(server.stats().clients_evicted_idle, 1u);
+  EXPECT_EQ(server.stats().clients_evicted_idle, 1u)
+      << "a peer that drains without acking was evicted";
   ::close(stalled);
+  ::close(unacking);
   server.stop();
 }
 
@@ -1651,7 +1660,9 @@ TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
     for (int r = 0; r < 2; ++r) {
       for (int i = 0; i < 100; ++i) {
         std::optional<RawFrame> frame = readers[r]->next(kFrameTimeout);
-        ASSERT_TRUE(frame.has_value());
+        ASSERT_TRUE(frame.has_value())
+            << "reader " << r << " saw no frame; clients evicted idle: "
+            << server.stats().clients_evicted_idle;
         if (r == 1 && frame->kind == FrameKind::kFull) {
           subset_based = frame->entries == 100;
         }
@@ -1663,6 +1674,22 @@ TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
       }
     }
   }
+  // The filtered reader stalls once more, long enough to jam its socket.
+  // The unfiltered reader is jammed too and takes nothing, so the skipped
+  // frames counted while the filtered one drains are its own (the observer
+  // keeps up). A frame labeled past the drain's start was handed after
+  // the stall: the catch-up, or the full, over the group's skipped frames.
+  std::this_thread::sleep_for(200ms);
+  const std::uint64_t coalesced_before = server.stats().frames_coalesced;
+  const std::uint64_t drain_pass = server.stats().frames_collected + 1;
+  for (int i = 0; i < 200; ++i) {
+    const std::optional<RawFrame> frame = filtered.next(kFrameTimeout);
+    ASSERT_TRUE(frame.has_value())
+        << "clients evicted idle: " << server.stats().clients_evicted_idle;
+    if (frame->sequence > drain_pass) break;
+  }
+  EXPECT_GT(server.stats().frames_coalesced, coalesced_before)
+      << "a lagged filtered subscriber's skipped frames were not counted";
   std::this_thread::sleep_for(50ms);  // let the observer see the last pass
   stop.store(true, std::memory_order_release);
   churner.join();
@@ -1683,6 +1710,78 @@ TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
     EXPECT_GT(matched, 0) << (r == 0 ? "unfiltered" : "filtered")
                           << ": no catch-up delta to check";
   }
+  server.stop();
+}
+
+TEST(SnapshotServer, PassAllStreamKeepsPerTickCadenceAndOneEncode) {
+  // A client that never subscribed and one that SUBSCRIBEd with a
+  // pass-all filter are both in the pass-all group. On an idle registry
+  // that group still ships a frame every tick (v1 clients and the shm
+  // ring's dead-writer probe rely on it), and both clients get the same
+  // bytes for the same pass's shared delta: one encode, not one per
+  // client. The heartbeat is set past the test's length, so a group
+  // that suppressed its quiet ticks would leave both streams silent.
+  constexpr int kFrames = 20;
+  shard::RegistryT<base::DirectBackend> registry(2);
+  registry.create("a", {ErrorModel::kExact, 0, 1}).increment(0);
+  registry.create("b", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.group_heartbeat_ticks = 100000;
+  options.shm_enable = false;
+  SnapshotServer server(registry, 1, options);
+  ASSERT_TRUE(server.start());
+
+  RawSubscriber plain;
+  ASSERT_TRUE(plain.connect(server.port()));
+  RawSubscriber subscribed;
+  ASSERT_TRUE(subscribed.connect(server.port()));
+  std::string subscribe;
+  ASSERT_TRUE(encode_subscribe_record(SubscriptionFilter{}, subscribe));
+  ASSERT_TRUE(subscribed.send(subscribe));
+  for (int i = 0; i < 400 && server.stats().subscribes_received == 0; ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(server.stats().subscribes_received, 1u);
+
+  std::map<std::uint64_t, std::string> deltas[2];
+  RawSubscriber* readers[2] = {&plain, &subscribed};
+  for (int r = 0; r < 2; ++r) {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    for (int i = 0; i < kFrames; ++i) {
+      const std::optional<RawFrame> frame = readers[r]->next(kFrameTimeout);
+      ASSERT_TRUE(frame.has_value())
+          << "reader " << r << ": the idle pass-all stream went silent";
+      if (first == 0) first = frame->sequence;
+      last = frame->sequence;
+      // In-step deltas only: a reader a worker served late takes a
+      // catch-up from an older base instead, a different frame.
+      if (frame->kind == FrameKind::kDelta &&
+          frame->base_seq + 1 == frame->sequence) {
+        deltas[r][frame->sequence] = frame->wire;
+      }
+    }
+    // A frame per tick: the frames span about as many passes as there
+    // are frames (a late worker may fold a pass or two into a catch-up).
+    EXPECT_LT(last - first, 2u * kFrames)
+        << "reader " << r << ": " << kFrames << " frames spanned "
+        << last - first << " passes";
+  }
+  int shared = 0;
+  for (const auto& [sequence, wire] : deltas[0]) {
+    const auto it = deltas[1].find(sequence);
+    if (it == deltas[1].end()) continue;
+    EXPECT_EQ(wire, it->second) << "pass " << sequence << " differs";
+    ++shared;
+  }
+  EXPECT_GT(shared, 0) << "the two readers never saw the same pass";
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.group_deltas_suppressed, 0u);
+  // The pass-all SUBSCRIBE found the pass-all group: no filtered group,
+  // so no filtered encode.
+  EXPECT_EQ(stats.filtered_delta_encodes, 0u);
+  EXPECT_EQ(stats.filtered_full_encodes, 0u);
   server.stop();
 }
 
