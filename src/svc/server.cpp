@@ -395,11 +395,11 @@ class ServerCore {
     bool shm_consuming = false;
     /// Ack-deadline eviction clock (ServerOptions::ack_deadline_ticks).
     /// Armed (at the then-current pub.seq) when the client is owed
-    /// frames; re-armed on any progress (ack advance, drained byte);
-    /// disarmed when nothing is owed. 0 = disarmed.
+    /// frames; re-armed on any progress (ack advance, partial-write
+    /// drain); disarmed when nothing is owed. 0 = disarmed.
     std::uint64_t ack_wait_since = 0;
-    std::uint64_t ack_wait_acked = 0;    // acked_seq when armed
-    std::uint64_t ack_wait_flushed = 0;  // bytes_flushed when armed
+    std::uint64_t ack_wait_acked = 0;  // acked_seq when armed
+    std::size_t ack_wait_off = 0;      // in-flight drain offset when armed
     /// Self-metrics bookkeeping: "ip:port" of the peer (the
     /// top_talkers label) and cumulative bytes flushed to it — monotone
     /// by construction, so the top-k max-register fold is exact.
@@ -775,7 +775,7 @@ class ServerCore {
   /// when the client was evicted (and closed). The predicate is "owed
   /// AND stalled": a peer holding an undrained in-flight buffer or
   /// unacked fully-sent frames, with neither its acked_seq nor its
-  /// drained byte count moving for the deadline's worth of ticks, is
+  /// partial-write offset moving for the deadline's worth of ticks, is
   /// half-open or frozen — close it so its socket and pinned
   /// shared-encode refcount come back. A slow-but-live reader resets
   /// the clock on every ack or drained byte; an shm consumer never
@@ -793,14 +793,13 @@ class ServerCore {
       client.ack_wait_since = 0;
       return false;
     }
-    // Bytes drained count whether or not they finished a frame: a reader
-    // that takes each frame in one send() leaves no partial offset.
-    const bool progressed = client.acked_seq > client.ack_wait_acked ||
-                            client.bytes_flushed > client.ack_wait_flushed;
+    const bool progressed =
+        client.acked_seq > client.ack_wait_acked ||
+        (client.out != nullptr && client.off > client.ack_wait_off);
     if (client.ack_wait_since == 0 || progressed) {
       client.ack_wait_since = pub.seq;
       client.ack_wait_acked = client.acked_seq;
-      client.ack_wait_flushed = client.bytes_flushed;
+      client.ack_wait_off = client.out ? client.off : 0;
       return false;
     }
     if (pub.seq - client.ack_wait_since < options_.ack_deadline_ticks) {

@@ -36,9 +36,12 @@
 //     nobody is disconnected for being slow.
 //
 //   * acks — subscribers send { 0xAC, seq:uvarint } after applying a
-//     frame; the server tracks the fleet-wide acked floor purely as
+//     frame; the server tracks the fleet-wide acked floor as
 //     observability (ServerStats::min_acked_seq), TCP already
-//     guaranteeing delivery of fully-written frames. Unknown inbound
+//     guaranteeing delivery of fully-written frames, and an ack
+//     advance is what tells a live reader from a dead one once its
+//     frames are fully written (ServerOptions::ack_deadline_ticks), so
+//     a TCP subscriber that never acks is evicted. Unknown inbound
 //     bytes are a protocol error and close that subscriber.
 //
 //   * filter groups and the control channel (wire v2) — every

@@ -992,13 +992,6 @@ TEST(SnapshotServer, AckStalledPeerIsEvictedWhileLiveReaderStreams) {
   ASSERT_EQ(::connect(stalled, reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr)),
             0);
-  // A peer that never acks but whose roomy receive buffer keeps taking
-  // whole frames drains bytes every tick: live, so never evicted.
-  const int unacking = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(unacking, 0);
-  ASSERT_EQ(::connect(unacking, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
 
   TelemetryClient live;
   ASSERT_TRUE(live.connect(server.port()));
@@ -1030,10 +1023,8 @@ TEST(SnapshotServer, AckStalledPeerIsEvictedWhileLiveReaderStreams) {
   ASSERT_TRUE(live.poll_frame(kFrameTimeout));
   EXPECT_GT(live.view().sequence(), seq_before);
   EXPECT_TRUE(live.connected());
-  EXPECT_EQ(server.stats().clients_evicted_idle, 1u)
-      << "a peer that drains without acking was evicted";
+  EXPECT_EQ(server.stats().clients_evicted_idle, 1u);
   ::close(stalled);
-  ::close(unacking);
   server.stop();
 }
 
@@ -1416,6 +1407,14 @@ TEST(SnapshotServer, ShmRingGetsAFullOnACreateTick) {
     server.stop();
     GTEST_SKIP() << "no healthy shm ring in this environment";
   }
+  // The client can ride a first-tick full off the ring before the
+  // server reads its SHM_ACCEPT, and until then the server still sends
+  // its joining full over TCP. Once the accept is read, no TCP full is
+  // owed, so the counts below see only the create tick.
+  for (int i = 0; i < 400 && server.stats().shm_accepts_received == 0; ++i) {
+    client.poll_frame(5ms);
+  }
+  ASSERT_GE(server.stats().shm_accepts_received, 1u);
   const std::uint64_t view_fulls = client.view().full_frames();
   const ServerStats before = server.stats();
 
@@ -1447,7 +1446,8 @@ struct RawFrame {
 };
 
 /// A bare TCP subscriber that keeps every frame's bytes (the client
-/// library applies and drops them). It never acks.
+/// library applies and drops them). Like TelemetryClient it acks each
+/// frame it takes, so a reader that keeps up is never ack-evicted.
 class RawSubscriber {
  public:
   RawSubscriber() = default;
@@ -1509,6 +1509,9 @@ class RawSubscriber {
       read_uvarint(&cursor, end, frame.base_seq);
     }
     read_uvarint(&cursor, end, frame.entries);
+    std::string ack(1, static_cast<char>(kAckByte));
+    append_uvarint(ack, frame.sequence);
+    ::send(fd_, ack.data(), ack.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     return frame;
   }
 
@@ -1624,7 +1627,22 @@ TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
   std::mutex stamps_mutex;
   std::map<std::uint64_t, std::uint64_t> stamps;
   std::atomic<bool> stop{false};
-  std::thread observing([&] {
+  std::thread observing;
+  std::thread churner;
+  // Stops and joins both threads on every way out, a failed ASSERT's
+  // early return too: a joinable thread's destructor would terminate
+  // the whole test binary.
+  struct StopAndJoin {
+    std::atomic<bool>& stop;
+    std::thread& a;
+    std::thread& b;
+    ~StopAndJoin() {
+      stop.store(true, std::memory_order_release);
+      if (a.joinable()) a.join();
+      if (b.joinable()) b.join();
+    }
+  } stop_and_join{stop, observing, churner};
+  observing = std::thread([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const std::optional<RawFrame> frame = observer.next(20ms);
       if (!frame) continue;
@@ -1642,21 +1660,33 @@ TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
   ASSERT_TRUE(encode_subscribe_record(filter, subscribe));
   ASSERT_TRUE(filtered.send(subscribe));
 
-  std::thread churner([&] {
+  churner = std::thread([&] {
     while (!stop.load(std::memory_order_acquire)) {
       for (shard::AnyCounter* counter : fleet) counter->increment(0);
       std::this_thread::sleep_for(1ms);
     }
   });
+  // Stalls are counted in passes, not milliseconds: a loaded host that
+  // ticks slowly still piles up enough frames to jam a socket, and the
+  // idle stretches stay comparable to ack_deadline_ticks (250 passes),
+  // which counts passes too.
+  const auto stall_passes = [&](std::uint64_t passes) {
+    const std::uint64_t until = server.stats().frames_collected + passes;
+    while (server.stats().frames_collected < until) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
   // Stall both readers, then drain each until it takes a catch-up
   // delta (its base lags its label by more than one pass). The
   // filtered reader's count only once its subset full (100 rows) has
-  // re-based it.
+  // re-based it. A stall of 50 passes jams even the filtered socket
+  // (~400 B deltas), so its catch-up follows its buffered frames, and
+  // no reader sits idle anywhere near the eviction deadline.
   std::vector<RawFrame> catch_ups[2];
   RawSubscriber* readers[2] = {&unfiltered, &filtered};
   bool subset_based = false;
   for (int round = 0; round < 10; ++round) {
-    std::this_thread::sleep_for(30ms);
+    stall_passes(50);
     for (int r = 0; r < 2; ++r) {
       for (int i = 0; i < 100; ++i) {
         std::optional<RawFrame> frame = readers[r]->next(kFrameTimeout);
@@ -1679,7 +1709,7 @@ TEST(SnapshotServer, LaggedCatchUpDeltasCarryAPublishedFramesSeqAndStamp) {
   // frames counted while the filtered one drains are its own (the observer
   // keeps up). A frame labeled past the drain's start was handed after
   // the stall: the catch-up, or the full, over the group's skipped frames.
-  std::this_thread::sleep_for(200ms);
+  stall_passes(100);
   const std::uint64_t coalesced_before = server.stats().frames_coalesced;
   const std::uint64_t drain_pass = server.stats().frames_collected + 1;
   for (int i = 0; i < 200; ++i) {
