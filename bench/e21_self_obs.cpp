@@ -5,10 +5,12 @@
 //
 //   1. Tick overhead — a real SnapshotServer collecting a 1024-counter
 //      registry every 2 ms while 2 threads hammer the counters, run
-//      twice: self_metrics OFF (the seed behavior) and ON (23 "__sys/"
-//      instruments installed in the same registry, per-stage tick
-//      timings recorded into 3 histograms, 6 gauges stored, the
-//      overrun watchdog armed, a trace ring attached). The metric is
+//      twice: self_metrics OFF (the seed behavior) and ON (29 "__sys/"
+//      entries installed in the same registry — 24 exact views of the
+//      server's counters, 4 histograms, 1 top-k — per-stage tick
+//      timings recorded into 3 histograms, a trace ring attached). The
+//      server counts its events once either way; ON adds the rows to
+//      the collect pass and the histogram records. The metric is
 //      collector CPU per tick (CLOCK_THREAD_CPUTIME_ID delta over the
 //      ticks it covered), median of interleaved repetitions so a noisy
 //      neighbor hits both configs alike. Acceptance (the CI guard,
@@ -115,18 +117,18 @@ const bench::Experiment kExperiment{
     "section 1: a SnapshotServer over 1024 k-multiplicative counters "
     "(k = 2, S = 4), 2 hammer threads, 2 ms period, self_metrics off vs "
     "on (median collector CPU/tick over interleaved repetitions); "
-    "section 2: rendering + encoding the metricsz page (23 internals + "
+    "section 2: rendering + encoding the metricsz page (29 internals + "
     "trace tail) from collected samples",
     "the paper's counters are cheap enough to meter the meter: the "
-    "server's own event counts, stage timings and top-talker table are "
-    "k-additive counters, k-additive-bucket histograms and a max-register "
-    "top-k living in the served registry itself — the observability "
-    "plane rides the data plane's accuracy/cost contract instead of a "
-    "second mechanism",
-    "self_metrics ON within 5% of OFF (3 histogram records, 6 relaxed "
-    "gauge stores and one clock read per tick amortize against a "
-    "1024-entry collect); the metricsz page costs microseconds and only "
-    "on request — the exposition path never touches the tick loop",
+    "server's stage timings and top-talker table are k-additive-bucket "
+    "histograms and a max-register top-k living in the served registry "
+    "itself, and its event counts are exact views of the one counter "
+    "block ServerStats copies — the observability plane rides the data "
+    "plane's wire instead of a second mechanism",
+    "self_metrics ON within 5% of OFF (3 histogram records per tick and "
+    "29 extra entries amortize against a 1024-entry collect); the "
+    "metricsz page costs microseconds and only on request — the "
+    "exposition path never touches the tick loop",
     [](const bench::Options& options, bench::Report& report) {
       // --- section 1: tick overhead ----------------------------------
       const std::chrono::milliseconds warmup = bench::warmup_or(options, 200);

@@ -8,20 +8,26 @@
 // per-stage tick timing, top talkers) becomes a registry entry under
 // the reserved `__sys/` prefix, so any existing client can subscribe
 // to `__sys/` and watch the server's vitals over the standard wire
-// with ZERO new wire format, and every reading inherits the paper's
-// error bounds (k-additive undercount ≤ S·k for event counters, exact
-// for gauges, per-bucket S·k for timing histograms, exact max-register
-// rows for the top-k directory).
+// with ZERO new wire format.
 //
-// Two-face instruments: each entry is ONE object with two interfaces.
-//   * The registry face (shard::AnyCounter / AnyHistogram / AnyTopK)
-//     is what collects and describes the entry — but its public
-//     mutators NO-OP: a fleet worker that somehow obtained a `__sys/`
-//     handle cannot spoof server internals (and the registry's
-//     reserved-prefix guard stops it from creating one; see
-//     shard/registry.hpp kReservedPrefix).
-//   * The privileged face (SysCounter / SysGauge / SysHist / SysTopK)
-//     is handed only to the server core, which mutates through it.
+// Each event is counted once. The server counts into ONE block of
+// relaxed atomics (ServerCounters); ServerStats is a plain copy of it,
+// and every scalar `__sys/server.*` row is a read-only exact view of
+// one of its fields (model exact, bound 0), built from one (row name,
+// field) table. The views hold the block by shared_ptr, so a row
+// outlives the server that counted into it.
+//
+// Where the paper's objects add something they keep metering the
+// server: per-stage timing histograms (k-additive buckets, per-bucket
+// S·k) and the top-talker directory (exact max-register rows). Those
+// are two-face instruments: ONE object whose registry face
+// (shard::AnyHistogram / AnyTopK) collects and describes the entry but
+// whose public mutators NO-OP — a fleet worker that somehow obtained a
+// `__sys/` handle cannot spoof server internals (and the registry's
+// reserved-prefix guard stops it from creating one; see
+// shard/registry.hpp kReservedPrefix) — and whose privileged face
+// (SysHist / SysTopK) is handed only to the server core. The counter
+// views have no privileged face at all: the server writes the block.
 //
 // Pid discipline: the server's threads are NOT in the registry's pid
 // space (that space belongs to fleet workers + the aggregator). The
@@ -35,38 +41,152 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/kadditive_counter.hpp"
 #include "shard/registry.hpp"
-#include "shard/sharded_counter.hpp"
 #include "stats/histogram.hpp"
 #include "stats/topk.hpp"
 
 namespace approx::obs {
 
 // ---------------------------------------------------------------------
-// Privileged faces: what the server core holds (concrete pointers, no
-// Backend parameter — the erasure lives in the instrument objects).
+// The server's counters: one field per counted quantity, one row each.
 // ---------------------------------------------------------------------
 
-/// Privileged event counter: one increment per event, from the thread
-/// that owns `wpid` (0 = collector, 1+i = io worker i).
-class SysCounter {
- public:
-  virtual ~SysCounter() = default;
-  virtual void inc(unsigned wpid) = 0;
+/// Every quantity the snapshot server counts. `T` is
+/// std::atomic<std::uint64_t> for the live block the server writes
+/// (ServerCounters) and std::uint64_t for a plain copy of it
+/// (svc::ServerStats). Every field is monotonic except frames_in_flight.
+template <typename T>
+struct ServerCountersT {
+  T frames_collected{};
+  T clients_accepted{};
+  T clients_closed{};
+  /// Subscribers closed by ack-deadline eviction (a subset of
+  /// clients_closed). See ServerOptions::ack_deadline_ticks.
+  T clients_evicted_idle{};
+  /// GAUGE (not monotonic): encoded frames currently handed to
+  /// subscribers and not yet fully written — each pins its tick's
+  /// shared-encode refcount. Drains to zero when every peer is caught
+  /// up or evicted; the eviction proof watches exactly this.
+  T frames_in_flight{};
+  T full_frames_sent{};     // full encodes handed to clients
+  T delta_frames_sent{};    // shared tick/group deltas
+  T catchup_deltas_sent{};  // per-client changed-since deltas
+  /// Frames of its group's stream a slow reader skipped: counted when it
+  /// takes a catch-up or a re-basing full instead of the group's shared
+  /// delta. A filtered group's suppressed quiet tick is no frame.
+  T frames_coalesced{};
+  T bytes_sent{};
+  T acks_received{};
+  // Wire v2 control channel + filter groups.
+  T subscribes_received{};
+  T resyncs_received{};
+  /// Full-frame encodes of the pass-all group actually performed. Lazy:
+  /// zero on a tick nobody needs a full, and at most one per tick
+  /// however many subscribers (and the shm ring) take it.
+  T unfiltered_full_encodes{};
+  /// Distinct encodes of the other (filtered) groups actually
+  /// performed; the pass-all group's count in neither. The sharing pins:
+  /// K identically-filtered in-step subscribers over T ticks cost ~T
+  /// delta encodes (not K·T) and ≤ a handful of full encodes.
+  T filtered_full_encodes{};
+  T filtered_delta_encodes{};
+  /// Group-ticks on which a filter group's subset was unchanged and no
+  /// frame was shipped to it (not coalescing — there was nothing to
+  /// say; a heartbeat bounds the silence).
+  T group_deltas_suppressed{};
+  // Shared-memory ring transport (wire v3).
+  T shm_requests_received{};
+  T shm_offers_sent{};
+  T shm_accepts_received{};  // clients moved off TCP data
+  T shm_frames_published{};  // ring writes by the collector
+  /// Frames that did not fit a ring slot; any > 0 means the ring broke
+  /// and shm clients were demoted back to TCP.
+  T shm_publish_failures{};
+  /// CPU time (CLOCK_THREAD_CPUTIME_ID, ns) burned by the collector
+  /// thread so far, counted once per tick.
+  T collector_cpu_ns{};
+  /// Ticks whose work outran the period — the one number that says the
+  /// monitor itself is saturating.
+  T ticks_overrun{};
 };
 
-/// Privileged exact gauge, overwritten per tick by the collector only.
-class SysGauge {
- public:
-  virtual ~SysGauge() = default;
-  virtual void set(std::uint64_t value) = 0;
+/// The live block: relaxed atomics, written only by the server.
+using ServerCounters = ServerCountersT<std::atomic<std::uint64_t>>;
+
+/// One scalar `__sys/server.*` row: its name and the field it reads.
+template <typename T>
+struct ServerCounterRow {
+  const char* name;
+  T ServerCountersT<T>::*field;
 };
+
+/// The one (row name, field) table: the views, install_self_metrics and
+/// copy_counters all walk it.
+template <typename T>
+inline constexpr ServerCounterRow<T> kServerCounterRows[] = {
+    {"__sys/server.frames_collected", &ServerCountersT<T>::frames_collected},
+    {"__sys/server.clients_accepted", &ServerCountersT<T>::clients_accepted},
+    {"__sys/server.clients_closed", &ServerCountersT<T>::clients_closed},
+    {"__sys/server.clients_evicted",
+     &ServerCountersT<T>::clients_evicted_idle},
+    {"__sys/server.frames_in_flight", &ServerCountersT<T>::frames_in_flight},
+    {"__sys/server.full_frames_sent", &ServerCountersT<T>::full_frames_sent},
+    {"__sys/server.delta_frames_sent", &ServerCountersT<T>::delta_frames_sent},
+    {"__sys/server.catchup_deltas_sent",
+     &ServerCountersT<T>::catchup_deltas_sent},
+    {"__sys/server.frames_coalesced", &ServerCountersT<T>::frames_coalesced},
+    {"__sys/server.bytes_sent", &ServerCountersT<T>::bytes_sent},
+    {"__sys/server.acks_received", &ServerCountersT<T>::acks_received},
+    {"__sys/server.subscribes_received",
+     &ServerCountersT<T>::subscribes_received},
+    {"__sys/server.resyncs_received", &ServerCountersT<T>::resyncs_received},
+    {"__sys/server.unfiltered_full_encodes",
+     &ServerCountersT<T>::unfiltered_full_encodes},
+    {"__sys/server.filtered_full_encodes",
+     &ServerCountersT<T>::filtered_full_encodes},
+    {"__sys/server.filtered_delta_encodes",
+     &ServerCountersT<T>::filtered_delta_encodes},
+    {"__sys/server.group_deltas_suppressed",
+     &ServerCountersT<T>::group_deltas_suppressed},
+    {"__sys/server.shm_requests_received",
+     &ServerCountersT<T>::shm_requests_received},
+    {"__sys/server.shm_offers_sent", &ServerCountersT<T>::shm_offers_sent},
+    {"__sys/server.shm_accepts_received",
+     &ServerCountersT<T>::shm_accepts_received},
+    {"__sys/server.shm_frames_published",
+     &ServerCountersT<T>::shm_frames_published},
+    {"__sys/server.shm_publish_failures",
+     &ServerCountersT<T>::shm_publish_failures},
+    {"__sys/server.collector_cpu_ns", &ServerCountersT<T>::collector_cpu_ns},
+    {"__sys/server.ticks_overrun", &ServerCountersT<T>::ticks_overrun},
+};
+
+static_assert(std::size(kServerCounterRows<std::uint64_t>) *
+                      sizeof(std::uint64_t) ==
+                  sizeof(ServerCountersT<std::uint64_t>),
+              "every ServerCounters field needs exactly one row");
+
+/// Copies every field of the live block into `out` (relaxed loads).
+inline void copy_counters(const ServerCounters& from,
+                          ServerCountersT<std::uint64_t>& out) {
+  constexpr auto& live = kServerCounterRows<std::atomic<std::uint64_t>>;
+  constexpr auto& plain = kServerCounterRows<std::uint64_t>;
+  for (std::size_t i = 0; i < std::size(live); ++i) {
+    out.*plain[i].field = (from.*live[i].field).load(std::memory_order_relaxed);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Privileged faces of the two-face instruments: what the server core
+// holds (concrete pointers, no Backend parameter — the erasure lives in
+// the instrument objects).
+// ---------------------------------------------------------------------
 
 /// Privileged timing histogram (nanosecond observations).
 class SysHist {
@@ -84,57 +204,27 @@ class SysTopK {
 };
 
 // ---------------------------------------------------------------------
-// The instrument implementations: registry face + privileged face on
-// one object, owned by the registry (lifetime = registry lifetime).
+// The registry-owned entries (lifetime = registry lifetime).
 // ---------------------------------------------------------------------
 
 namespace detail {
 
-/// Reserved event counter: sharded k-additive over the wpid space.
-template <typename Backend>
-class ReservedCounter final : public shard::AnyCounter, public SysCounter {
+/// A scalar row: an exact, read-only view of one ServerCounters field.
+class CounterView final : public shard::AnyCounter {
  public:
-  ReservedCounter(unsigned wpids, std::uint64_t k, unsigned shards)
-      : counter_(wpids, k, shards, shard::ShardPolicy::kHashPinned) {}
+  using Field = std::atomic<std::uint64_t> ServerCounters::*;
 
-  // Privileged face.
-  void inc(unsigned wpid) override { counter_.increment(wpid); }
+  CounterView(std::shared_ptr<ServerCounters> counters, Field field)
+      : counters_(std::move(counters)), field_(field) {}
 
-  // Registry face: public mutation no-ops (spoof-proof), reads real.
-  void increment(unsigned /*pid*/) override {}
-  std::uint64_t read(unsigned /*pid*/) override { return counter_.read(0); }
-  void flush(unsigned /*pid*/) override {}
-  [[nodiscard]] shard::ErrorModel error_model() const override {
-    return counter_.error_model();
-  }
-  [[nodiscard]] std::uint64_t error_bound() const override {
-    return counter_.error_bound();
-  }
-  [[nodiscard]] unsigned num_shards() const override {
-    return counter_.num_shards();
-  }
-  [[nodiscard]] bool accuracy_guaranteed() const override {
-    return counter_.accuracy_guaranteed();
+  [[nodiscard]] const std::shared_ptr<ServerCounters>& counters() const {
+    return counters_;
   }
 
- private:
-  shard::ShardedCounterT<core::KAdditiveCounterT, Backend> counter_;
-};
-
-/// Reserved exact gauge: one atomic word, collector-overwritten per
-/// tick. Registry face reports kExact / bound 0 — the reading really is
-/// the last value the collector published.
-class ReservedGauge final : public shard::AnyCounter, public SysGauge {
- public:
-  // Privileged face.
-  void set(std::uint64_t value) override {
-    value_.store(value, std::memory_order_relaxed);
-  }
-
-  // Registry face.
+  // Registry face: public mutation no-ops (spoof-proof), reads exact.
   void increment(unsigned /*pid*/) override {}
   std::uint64_t read(unsigned /*pid*/) override {
-    return value_.load(std::memory_order_relaxed);
+    return ((*counters_).*field_).load(std::memory_order_relaxed);
   }
   void flush(unsigned /*pid*/) override {}
   [[nodiscard]] shard::ErrorModel error_model() const override {
@@ -145,7 +235,8 @@ class ReservedGauge final : public shard::AnyCounter, public SysGauge {
   [[nodiscard]] bool accuracy_guaranteed() const override { return true; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::shared_ptr<ServerCounters> counters_;
+  Field field_;
 };
 
 /// Reserved timing histogram over the wpid space.
@@ -221,34 +312,16 @@ class ReservedTopK final : public shard::AnyTopK, public SysTopK {
 }  // namespace detail
 
 // ---------------------------------------------------------------------
-// The catalog: every `__sys/server.*` entry, as privileged handles.
+// The catalog: every `__sys/server.*` entry, as the server core holds it.
 // ---------------------------------------------------------------------
 
-/// The server core's handle bundle. All pointers are non-owning (the
-/// registry owns the instruments) and non-null after a successful
-/// install; the struct is cheap to copy.
+/// The server core's handle bundle. The counter block is shared with
+/// the registry's row views; the instrument pointers are non-owning
+/// (the registry owns the instruments). All non-null after a
+/// successful install; the struct is cheap to copy.
 struct ServerInstruments {
-  // Event counters — k-additive (k=4, 1 shard): undercount ≤ 4, never
-  // overcount; one inc per event from the thread that saw it.
-  SysCounter* clients_accepted = nullptr;
-  SysCounter* clients_closed = nullptr;
-  SysCounter* clients_evicted = nullptr;
-  SysCounter* full_frames_sent = nullptr;
-  SysCounter* delta_frames_sent = nullptr;
-  SysCounter* catchup_deltas_sent = nullptr;
-  SysCounter* acks_received = nullptr;
-  SysCounter* subscribes_received = nullptr;
-  SysCounter* resyncs_received = nullptr;
-  SysCounter* shm_offers_sent = nullptr;
-  SysCounter* shm_accepts_received = nullptr;
-  SysCounter* ticks_overrun = nullptr;
-  // Per-tick gauges — exact, set by the collector at end of tick.
-  SysGauge* frames_in_flight = nullptr;
-  SysGauge* frames_collected = nullptr;
-  SysGauge* bytes_sent = nullptr;
-  SysGauge* frames_coalesced = nullptr;
-  SysGauge* shm_frames_published = nullptr;
-  SysGauge* collector_cpu_ns = nullptr;
+  /// The block every scalar row reads; the server counts into it.
+  std::shared_ptr<ServerCounters> counters;
   // Stage timing histograms — ns observations, exponential edges.
   SysHist* tick_collect_ns = nullptr;
   SysHist* tick_encode_ns = nullptr;
@@ -260,13 +333,7 @@ struct ServerInstruments {
 
   /// True iff the full catalog is wired (install succeeded).
   [[nodiscard]] bool complete() const noexcept {
-    return clients_accepted && clients_closed && clients_evicted &&
-           full_frames_sent && delta_frames_sent && catchup_deltas_sent &&
-           acks_received && subscribes_received && resyncs_received &&
-           shm_offers_sent && shm_accepts_received && ticks_overrun &&
-           frames_in_flight && frames_collected && bytes_sent &&
-           frames_coalesced && shm_frames_published && collector_cpu_ns &&
-           tick_collect_ns && tick_encode_ns && tick_flush_ns &&
+    return counters && tick_collect_ns && tick_encode_ns && tick_flush_ns &&
            apply_lag_ns && top_talkers;
   }
 };
@@ -278,76 +345,54 @@ inline std::vector<std::uint64_t> sys_histogram_bounds() {
   return stats::exponential_bounds(1024, 4.0, 12);
 }
 
-/// Per-shard slack of the `__sys/` event counters (and the per-bucket
-/// slack of the timing histograms): a reading undercounts by at most
-/// this, and never overcounts.
-inline constexpr std::uint64_t kSysCounterK = 4;
+/// Per-bucket slack of the `__sys/` timing histograms: a bucket
+/// undercounts by at most this, and never overcounts.
+inline constexpr std::uint64_t kSysHistogramK = 4;
 
 /// Rows kept by `__sys/server.top_talkers`.
 inline constexpr std::size_t kTopTalkerRows = 16;
 
 /// Installs the full `__sys/server.*` catalog into `registry` (via the
-/// privileged reserved adders) over a private wpid space of
-/// `1 + io_threads` threads, and returns the privileged handles.
-/// Idempotent per registry: a second install finds the existing
-/// instruments and returns handles to them (the wpid space of the
-/// FIRST install wins — callers reusing a registry across server
-/// restarts must keep io_threads stable, which the service layer's
-/// single-options construction guarantees).
+/// privileged reserved adders) and returns the server core's handles.
+/// The first install creates the counter block and the instruments
+/// (over a private wpid space of `1 + io_threads` threads); a later
+/// install finds them and returns the same block and instruments, so
+/// every server armed over one registry counts into that registry's
+/// totals (the wpid space of the FIRST install wins — callers reusing a
+/// registry across server restarts must keep io_threads stable, which
+/// the service layer's single-options construction guarantees).
 template <typename Backend>
 ServerInstruments install_self_metrics(shard::RegistryT<Backend>& registry,
                                        unsigned io_threads) {
   const unsigned wpids = 1 + (io_threads < 1 ? 1 : io_threads);
   ServerInstruments out;
 
-  const auto counter = [&](const char* name) -> SysCounter* {
-    shard::AnyCounter* entry = registry.add_counter_reserved(
-        std::string(name), [&] {
-          return std::make_unique<detail::ReservedCounter<Backend>>(
-              wpids, kSysCounterK, 1u);
+  [[maybe_unused]] bool rows_complete = true;
+  for (const auto& row : kServerCounterRows<std::atomic<std::uint64_t>>) {
+    shard::AnyCounter* entry =
+        registry.add_counter_reserved(std::string(row.name), [&] {
+          if (!out.counters) out.counters = std::make_shared<ServerCounters>();
+          return std::make_unique<detail::CounterView>(out.counters,
+                                                       row.field);
         });
     // Reserved names are only ever populated by this installer, so the
     // concrete type is known; a kind collision yields nullptr instead.
-    return dynamic_cast<detail::ReservedCounter<Backend>*>(entry);
-  };
-  const auto gauge = [&](const char* name) -> SysGauge* {
-    shard::AnyCounter* entry = registry.add_counter_reserved(
-        std::string(name),
-        [&] { return std::make_unique<detail::ReservedGauge>(); });
-    return dynamic_cast<detail::ReservedGauge*>(entry);
-  };
+    const auto* view = dynamic_cast<detail::CounterView*>(entry);
+    rows_complete = rows_complete && view != nullptr;
+    if (view != nullptr && !out.counters) out.counters = view->counters();
+  }
   const auto hist = [&](const char* name) -> SysHist* {
     shard::AnyHistogram* entry = registry.add_histogram_reserved(
         std::string(name), [&] {
           stats::HistogramSpec spec;
           spec.bounds = sys_histogram_bounds();
-          spec.k = kSysCounterK;
+          spec.k = kSysHistogramK;
           spec.shards = 1;
           return std::make_unique<detail::ReservedHistogram<Backend>>(wpids,
                                                                       spec);
         });
     return dynamic_cast<detail::ReservedHistogram<Backend>*>(entry);
   };
-
-  out.clients_accepted = counter("__sys/server.clients_accepted");
-  out.clients_closed = counter("__sys/server.clients_closed");
-  out.clients_evicted = counter("__sys/server.clients_evicted");
-  out.full_frames_sent = counter("__sys/server.full_frames_sent");
-  out.delta_frames_sent = counter("__sys/server.delta_frames_sent");
-  out.catchup_deltas_sent = counter("__sys/server.catchup_deltas_sent");
-  out.acks_received = counter("__sys/server.acks_received");
-  out.subscribes_received = counter("__sys/server.subscribes_received");
-  out.resyncs_received = counter("__sys/server.resyncs_received");
-  out.shm_offers_sent = counter("__sys/server.shm_offers_sent");
-  out.shm_accepts_received = counter("__sys/server.shm_accepts_received");
-  out.ticks_overrun = counter("__sys/server.ticks_overrun");
-
-  out.frames_in_flight = gauge("__sys/server.frames_in_flight");
-  out.frames_collected = gauge("__sys/server.frames_collected");
-  out.bytes_sent = gauge("__sys/server.bytes_sent");
-  out.frames_coalesced = gauge("__sys/server.frames_coalesced");
-  out.shm_frames_published = gauge("__sys/server.shm_frames_published");
-  out.collector_cpu_ns = gauge("__sys/server.collector_cpu_ns");
 
   out.tick_collect_ns = hist("__sys/server.tick.collect_ns");
   out.tick_encode_ns = hist("__sys/server.tick.encode_ns");
@@ -363,7 +408,8 @@ ServerInstruments install_self_metrics(shard::RegistryT<Backend>& registry,
     out.top_talkers = dynamic_cast<detail::ReservedTopK<Backend>*>(entry);
   }
 
-  assert(out.complete() && "self-metrics install hit a kind collision");
+  assert(rows_complete && out.complete() &&
+         "self-metrics install hit a kind collision");
   return out;
 }
 

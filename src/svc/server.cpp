@@ -207,40 +207,7 @@ class ServerCore {
     // against the running threads.
     std::lock_guard lifecycle(lifecycle_mutex_);
     ServerStats out;
-    out.frames_collected = frames_collected_.load(std::memory_order_relaxed);
-    out.clients_accepted = clients_accepted_.load(std::memory_order_relaxed);
-    out.clients_closed = clients_closed_.load(std::memory_order_relaxed);
-    out.clients_evicted_idle =
-        clients_evicted_idle_.load(std::memory_order_relaxed);
-    out.frames_in_flight = inflight_frames_.load(std::memory_order_relaxed);
-    out.full_frames_sent = full_frames_sent_.load(std::memory_order_relaxed);
-    out.delta_frames_sent = delta_frames_sent_.load(std::memory_order_relaxed);
-    out.catchup_deltas_sent =
-        catchup_deltas_sent_.load(std::memory_order_relaxed);
-    out.frames_coalesced = frames_coalesced_.load(std::memory_order_relaxed);
-    out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    out.acks_received = acks_received_.load(std::memory_order_relaxed);
-    out.subscribes_received =
-        subscribes_received_.load(std::memory_order_relaxed);
-    out.resyncs_received = resyncs_received_.load(std::memory_order_relaxed);
-    out.unfiltered_full_encodes =
-        unfiltered_full_encodes_.load(std::memory_order_relaxed);
-    out.filtered_full_encodes =
-        filtered_full_encodes_.load(std::memory_order_relaxed);
-    out.filtered_delta_encodes =
-        filtered_delta_encodes_.load(std::memory_order_relaxed);
-    out.group_deltas_suppressed =
-        group_deltas_suppressed_.load(std::memory_order_relaxed);
-    out.shm_requests_received =
-        shm_requests_received_.load(std::memory_order_relaxed);
-    out.shm_offers_sent = shm_offers_sent_.load(std::memory_order_relaxed);
-    out.shm_accepts_received =
-        shm_accepts_received_.load(std::memory_order_relaxed);
-    out.shm_frames_published =
-        shm_frames_published_.load(std::memory_order_relaxed);
-    out.shm_publish_failures =
-        shm_publish_failures_.load(std::memory_order_relaxed);
-    out.collector_cpu_ns = collector_cpu_ns_.load(std::memory_order_relaxed);
+    obs::copy_counters(*counters_, out);
     out.io_cpu_ns = retired_io_cpu_ns_.load(std::memory_order_relaxed);
     for (const auto& worker : workers_) {
       out.io_cpu_ns += worker->cpu_ns.load(std::memory_order_relaxed);
@@ -255,12 +222,13 @@ class ServerCore {
     return out;
   }
 
-  /// Arms the `__sys/` self-metrics handles (obs/self_metrics.hpp).
-  /// Must be called before start(); the instruments (registry-owned)
-  /// must outlive the server.
+  /// Arms the `__sys/` self-metrics handles (obs/self_metrics.hpp):
+  /// from here on the server counts into the catalog's block, which its
+  /// rows read. Must be called before start().
   void set_instruments(const obs::ServerInstruments& sys) {
     sys_ = sys;
     sys_on_ = sys.complete();
+    if (sys_on_) counters_ = sys.counters;
   }
 
  private:
@@ -444,6 +412,17 @@ class ServerCore {
 
   void collector_loop() {
     t_wpid = 0;  // the collector's slot in the obs wpid space
+    // collector_cpu_ns accumulates this thread's CPU since the last
+    // count, so it stays monotonic across restarts (each run has a
+    // fresh thread) and sums when several servers share one block.
+    std::uint64_t cpu_counted = 0;
+    const auto count_cpu = [&] {
+      const std::uint64_t cpu = thread_cpu_ns();
+      if (cpu <= cpu_counted) return;
+      counters_->collector_cpu_ns.fetch_add(cpu - cpu_counted,
+                                            std::memory_order_relaxed);
+      cpu_counted = cpu;
+    };
     std::vector<DeltaRef> changed;
     std::vector<DeltaRef> group_subset;  // per-group intersect scratch
     std::uint64_t prev_seq = 0;
@@ -518,10 +497,12 @@ class ServerCore {
         const std::string_view payload =
             std::string_view(*bytes).substr(kFramePrefixBytes);
         if (payload.size() <= shm_.slot_payload_bytes()) {
-          shm_frames_published_.fetch_add(1, std::memory_order_relaxed);
+          counters_->shm_frames_published.fetch_add(1,
+                                                    std::memory_order_relaxed);
           shm_.publish(payload);  // cannot fail: the ring is up and it fits
         } else {
-          shm_publish_failures_.fetch_add(1, std::memory_order_relaxed);
+          counters_->shm_publish_failures.fetch_add(1,
+                                                    std::memory_order_relaxed);
           ring_broken_.store(true, std::memory_order_relaxed);
           trace(obs::TraceKind::kShmDemote, shm_.generation());
         }
@@ -547,7 +528,7 @@ class ServerCore {
       }
       last_pub_seq_.store(pub.seq, std::memory_order_relaxed);
       last_pub_collect_ns_.store(collect_ns, std::memory_order_relaxed);
-      frames_collected_.fetch_add(1, std::memory_order_relaxed);
+      counters_->frames_collected.fetch_add(1, std::memory_order_relaxed);
       for (auto& worker : workers_) wake(*worker);
       const auto flush_done = std::chrono::steady_clock::now();
       // The basis advances only past a tick whose changed walk
@@ -555,10 +536,10 @@ class ServerCore {
       // walk from the older basis covers them), or filter groups, which
       // keep their basis through the raced tick, would never see them.
       if (prev_seq == 0 || changed_valid) prev_seq = frame.sequence;
-      collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
-      // Self-metrics: per-stage timings into the `__sys/` histograms and
-      // the tick's gauge refresh (next tick's collect pass picks both
-      // up, so the vitals ride the very stream they describe).
+      count_cpu();
+      // Self-metrics: per-stage timings into the `__sys/` histograms
+      // (next tick's collect pass picks them up, so the vitals ride the
+      // very stream they describe).
       if (sys_on_) {
         const auto ns = [](auto duration) {
           return static_cast<std::uint64_t>(
@@ -568,16 +549,6 @@ class ServerCore {
         sys_.tick_collect_ns->rec(0, ns(collect_done - tick_start));
         sys_.tick_encode_ns->rec(0, ns(encode_done - collect_done));
         sys_.tick_flush_ns->rec(0, ns(flush_done - encode_done));
-        sys_.frames_in_flight->set(
-            inflight_frames_.load(std::memory_order_relaxed));
-        sys_.frames_collected->set(
-            frames_collected_.load(std::memory_order_relaxed));
-        sys_.bytes_sent->set(bytes_sent_.load(std::memory_order_relaxed));
-        sys_.frames_coalesced->set(
-            frames_coalesced_.load(std::memory_order_relaxed));
-        sys_.shm_frames_published->set(
-            shm_frames_published_.load(std::memory_order_relaxed));
-        sys_.collector_cpu_ns->set(thread_cpu_ns());
       }
       // Slow-tick watchdog: the work above outran the period — the
       // serving cadence is slipping and subscribers will see coalesced
@@ -586,7 +557,7 @@ class ServerCore {
       const auto deadline = tick_start + options_.period;
       const auto now = std::chrono::steady_clock::now();
       if (now > deadline) {
-        if (sys_on_) sys_.ticks_overrun->inc(0);
+        counters_->ticks_overrun.fetch_add(1, std::memory_order_relaxed);
         trace(obs::TraceKind::kTickOverrun,
               static_cast<std::uint64_t>(
                   std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -608,7 +579,7 @@ class ServerCore {
             std::min(deadline, t + std::chrono::milliseconds(1)));
       }
     }
-    collector_cpu_ns_.store(thread_cpu_ns(), std::memory_order_relaxed);
+    count_cpu();
   }
 
   void worker_loop(unsigned index) {
@@ -737,8 +708,7 @@ class ServerCore {
         ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf,
                      sizeof(options_.sndbuf));
       }
-      clients_accepted_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.clients_accepted->inc(t_wpid);
+      counters_->clients_accepted.fetch_add(1, std::memory_order_relaxed);
       trace(obs::TraceKind::kClientConnect,
             static_cast<std::uint64_t>(fd));
       Worker& target =
@@ -760,14 +730,14 @@ class ServerCore {
                     std::shared_ptr<const std::string> frame) {
     client.out = std::move(frame);
     client.off = 0;
-    inflight_frames_.fetch_add(1, std::memory_order_relaxed);
+    counters_->frames_in_flight.fetch_add(1, std::memory_order_relaxed);
   }
 
   void drop_inflight(Client& client) {
     if (!client.out) return;
     client.out.reset();
     client.off = 0;
-    inflight_frames_.fetch_sub(1, std::memory_order_relaxed);
+    counters_->frames_in_flight.fetch_sub(1, std::memory_order_relaxed);
   }
 
   /// The ack-deadline eviction check (ServerOptions::ack_deadline_ticks;
@@ -805,8 +775,7 @@ class ServerCore {
     if (pub.seq - client.ack_wait_since < options_.ack_deadline_ticks) {
       return false;
     }
-    clients_evicted_idle_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.clients_evicted->inc(t_wpid);
+    counters_->clients_evicted_idle.fetch_add(1, std::memory_order_relaxed);
     trace(obs::TraceKind::kClientEvict,
           static_cast<std::uint64_t>(client.fd),
           (pub.seq - client.ack_wait_since) *
@@ -828,8 +797,7 @@ class ServerCore {
       std::lock_guard wlock(groups_writer_mutex_);
       release_group_writer_locked(client);
     }
-    clients_closed_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.clients_closed->inc(t_wpid);
+    counters_->clients_closed.fetch_add(1, std::memory_order_relaxed);
     trace(obs::TraceKind::kClientDisconnect, static_cast<std::uint64_t>(fd));
   }
 
@@ -920,9 +888,8 @@ class ServerCore {
           return client.inbuf.size() < kMaxAckBytes;
         }
         client.acked_seq = std::max(client.acked_seq, seq);
-        acks_received_.fetch_add(1, std::memory_order_relaxed);
+        counters_->acks_received.fetch_add(1, std::memory_order_relaxed);
         if (sys_on_) {
-          sys_.acks_received->inc(t_wpid);
           // Apply-lag proxy: collect-stamp → ack-receipt for the newest
           // published frame (older acks are skipped — their stamp is
           // gone; the racy seq/ns pair is at worst one tick stale,
@@ -959,8 +926,8 @@ class ServerCore {
           // entirely: the ring carries only the pass-all group's frames,
           // and the client detached before sending SUBSCRIBE.
           client.shm_consuming = false;
-          subscribes_received_.fetch_add(1, std::memory_order_relaxed);
-          if (sys_on_) sys_.subscribes_received->inc(t_wpid);
+          counters_->subscribes_received.fetch_add(1,
+                                                   std::memory_order_relaxed);
         } else if (control.kind == FrameKind::kMetricszRequest) {
           // Solicited exposition: flag the client and ask the collector
           // to render at its next tick; service_client ships the page
@@ -968,7 +935,8 @@ class ServerCore {
           client.metricsz_pending = true;
           metricsz_wanted_.store(true, std::memory_order_relaxed);
         } else if (control.kind == FrameKind::kShmRequest) {
-          shm_requests_received_.fetch_add(1, std::memory_order_relaxed);
+          counters_->shm_requests_received.fetch_add(1,
+                                                     std::memory_order_relaxed);
           // No ring (disabled, create failed, broken): silently ignore
           // — the requester simply stays on TCP. A FILTERED subscriber
           // is likewise never offered the ring: the ring carries only
@@ -988,8 +956,8 @@ class ServerCore {
               !ring_broken_.load(std::memory_order_relaxed) &&
               control.shm_generation == shm_.generation()) {
             client.shm_consuming = true;
-            shm_accepts_received_.fetch_add(1, std::memory_order_relaxed);
-            if (sys_on_) sys_.shm_accepts_received->inc(t_wpid);
+            counters_->shm_accepts_received.fetch_add(
+                1, std::memory_order_relaxed);
             trace(obs::TraceKind::kShmAccept,
                   static_cast<std::uint64_t>(client.fd),
                   control.shm_generation);
@@ -1005,8 +973,7 @@ class ServerCore {
           // ring frame applies cleanly again, which re-freezes this
           // stream (sent_seq stays stale-low for the next demotion).
           client.shm_consuming = false;
-          resyncs_received_.fetch_add(1, std::memory_order_relaxed);
-          if (sys_on_) sys_.resyncs_received->inc(t_wpid);
+          counters_->resyncs_received.fetch_add(1, std::memory_order_relaxed);
           trace(obs::TraceKind::kResync,
                 static_cast<std::uint64_t>(client.fd));
         }
@@ -1029,8 +996,8 @@ class ServerCore {
                  client.out->size() - client.off, MSG_NOSIGNAL);
       if (n > 0) {
         client.off += static_cast<std::size_t>(n);
-        bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
-                              std::memory_order_relaxed);
+        counters_->bytes_sent.fetch_add(static_cast<std::uint64_t>(n),
+                                        std::memory_order_relaxed);
         client.bytes_flushed += static_cast<std::uint64_t>(n);
         if (sys_on_) {
           // Cumulative per-peer bytes only grow, so the max-register
@@ -1067,8 +1034,7 @@ class ServerCore {
       if (shm_offer_frame_ && client.group->filter.pass_all() &&
           !ring_broken_.load(std::memory_order_relaxed)) {
         set_inflight(client, shm_offer_frame_);
-        shm_offers_sent_.fetch_add(1, std::memory_order_relaxed);
-        if (sys_on_) sys_.shm_offers_sent->inc(t_wpid);
+        counters_->shm_offers_sent.fetch_add(1, std::memory_order_relaxed);
         trace(obs::TraceKind::kShmOffer,
               static_cast<std::uint64_t>(client.fd), shm_.generation());
         flush(client);
@@ -1140,8 +1106,7 @@ class ServerCore {
       client.sent_seq = pass;
       client.sent_regver = tick.wire_regver;
       client.force_full = false;
-      full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.full_frames_sent->inc(t_wpid);
+      counters_->full_frames_sent.fetch_add(1, std::memory_order_relaxed);
       flush(client);
       return;
     }
@@ -1153,8 +1118,7 @@ class ServerCore {
       set_inflight(client, std::move(tick.delta));
       client.sent_seq = pass;
       client.sent_frames = tick.frames;
-      delta_frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (sys_on_) sys_.delta_frames_sent->inc(t_wpid);
+      counters_->delta_frames_sent.fetch_add(1, std::memory_order_relaxed);
       flush(client);
       return;
     }
@@ -1182,8 +1146,7 @@ class ServerCore {
                        client.sent_seq, changed_scratch, *delta);
     set_inflight(client, std::move(delta));
     client.sent_seq = pass;
-    catchup_deltas_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (sys_on_) sys_.catchup_deltas_sent->inc(t_wpid);
+    counters_->catchup_deltas_sent.fetch_add(1, std::memory_order_relaxed);
     flush(client);
   }
 
@@ -1192,8 +1155,8 @@ class ServerCore {
   /// suppressed quiet tick is no frame, so it is not counted).
   void count_coalesced(Client& client, const GroupTick& tick) {
     if (client.sent_frames != 0 && tick.frames > client.sent_frames + 1) {
-      frames_coalesced_.fetch_add(tick.frames - client.sent_frames - 1,
-                                  std::memory_order_relaxed);
+      counters_->frames_coalesced.fetch_add(
+          tick.frames - client.sent_frames - 1, std::memory_order_relaxed);
     }
     client.sent_frames = tick.frames;
   }
@@ -1215,8 +1178,9 @@ class ServerCore {
     auto buf = std::make_shared<std::string>();
     encode_full_frame_filtered(frame, *tick.selection, tick.collect_ns,
                                tick.wire_regver, *buf);
-    auto& encodes = group.filter.pass_all() ? unfiltered_full_encodes_
-                                            : filtered_full_encodes_;
+    auto& encodes = group.filter.pass_all()
+                        ? counters_->unfiltered_full_encodes
+                        : counters_->filtered_full_encodes;
     encodes.fetch_add(1, std::memory_order_relaxed);
     if (frame.sequence >= cache.seq) {
       cache.full = buf;
@@ -1318,7 +1282,8 @@ class ServerCore {
       if (rows.empty() && !pass_all &&
           ++group.ticks_suppressed < options_.group_heartbeat_ticks) {
         // Quiet subset: ship nothing this tick (basis stays put).
-        group_deltas_suppressed_.fetch_add(1, std::memory_order_relaxed);
+        counters_->group_deltas_suppressed.fetch_add(1,
+                                                     std::memory_order_relaxed);
       } else {
         auto buf = std::make_shared<std::string>();
         // Labeled with the group's pinned wire version (== the registry
@@ -1333,7 +1298,8 @@ class ServerCore {
         group.ticks_suppressed = 0;
         ++group.frames;
         if (!pass_all) {
-          filtered_delta_encodes_.fetch_add(1, std::memory_order_relaxed);
+          counters_->filtered_delta_encodes.fetch_add(
+              1, std::memory_order_relaxed);
         }
       }
     }
@@ -1390,29 +1356,10 @@ class ServerCore {
   /// ticks). The collector drives reclaim() once per tick; stop()
   /// drains the backlog after the joins.
   base::EpochDomain epochs_;
-  std::atomic<std::uint64_t> frames_collected_{0};
-  std::atomic<std::uint64_t> clients_accepted_{0};
-  std::atomic<std::uint64_t> clients_closed_{0};
-  std::atomic<std::uint64_t> clients_evicted_idle_{0};
-  std::atomic<std::uint64_t> inflight_frames_{0};  // gauge, not monotonic
-  std::atomic<std::uint64_t> full_frames_sent_{0};
-  std::atomic<std::uint64_t> delta_frames_sent_{0};
-  std::atomic<std::uint64_t> catchup_deltas_sent_{0};
-  std::atomic<std::uint64_t> frames_coalesced_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> acks_received_{0};
-  std::atomic<std::uint64_t> subscribes_received_{0};
-  std::atomic<std::uint64_t> resyncs_received_{0};
-  std::atomic<std::uint64_t> unfiltered_full_encodes_{0};
-  std::atomic<std::uint64_t> filtered_full_encodes_{0};
-  std::atomic<std::uint64_t> filtered_delta_encodes_{0};
-  std::atomic<std::uint64_t> group_deltas_suppressed_{0};
-  std::atomic<std::uint64_t> shm_requests_received_{0};
-  std::atomic<std::uint64_t> shm_offers_sent_{0};
-  std::atomic<std::uint64_t> shm_accepts_received_{0};
-  std::atomic<std::uint64_t> shm_frames_published_{0};
-  std::atomic<std::uint64_t> shm_publish_failures_{0};
-  std::atomic<std::uint64_t> collector_cpu_ns_{0};
+  /// The one place each event is counted (obs/self_metrics.hpp): this
+  /// server's own block, or the registry's when self_metrics armed it.
+  std::shared_ptr<obs::ServerCounters> counters_ =
+      std::make_shared<obs::ServerCounters>();
   std::atomic<std::uint64_t> retired_io_cpu_ns_{0};  // exited workers' sum
   /// The shm snapshot ring (wire v3). shm_ and shm_offer_frame_ are
   /// (re)built in start() before any thread spawns and torn down in
@@ -1425,8 +1372,9 @@ class ServerCore {
   /// stop and accepted clients are demoted back to TCP.
   std::atomic<bool> ring_broken_{false};
   // --- Self-observability (src/obs) ---------------------------------
-  /// Privileged handles into the registry's `__sys/server.*` entries;
-  /// sys_on_ iff the catalog is armed (set_instruments before start()).
+  /// Privileged handles into the registry's `__sys/server.*` histograms
+  /// and top-k; sys_on_ iff the catalog is armed (set_instruments before
+  /// start()). The counters need no handle: their rows read counters_.
   obs::ServerInstruments sys_{};
   bool sys_on_ = false;
   /// Flight recorder; null = tracing off. Not owned.

@@ -96,6 +96,7 @@
 #include <memory>
 
 #include "base/backend.hpp"
+#include "obs/self_metrics.hpp"
 #include "shard/aggregator.hpp"
 #include "shard/registry.hpp"
 #include "svc/wire.hpp"
@@ -157,71 +158,37 @@ struct ServerOptions {
   obs::TraceRing* trace = nullptr;
   /// Self-metrics (src/obs): when true — requires the non-const
   /// registry constructor — the server installs the `__sys/server.*`
-  /// catalog into the registry it serves and keeps it live: its own
-  /// counters, per-stage tick timing histograms and top-talker
-  /// directory then ride the standard wire like any fleet entry
-  /// (subscribe with a `__sys/` prefix filter), and the kind-7/kind-8
-  /// metricsz exchange renders them as text. Off by default: a server
-  /// over a const registry cannot (and does not) self-report.
+  /// catalog into the registry it serves and keeps it live: one exact
+  /// row per ServerStats counter (a read-only view of the very counter
+  /// stats() copies, so a row and its field always agree), per-stage
+  /// tick timing histograms and a top-talker directory then ride the
+  /// standard wire like any fleet entry (subscribe with a `__sys/`
+  /// prefix filter), and the kind-7/kind-8 metricsz exchange renders
+  /// them as text. Off by default: the rows add changed entries to every
+  /// pass-all frame, and a server over a const registry cannot (and
+  /// does not) self-report. Counting itself costs the same either way.
   bool self_metrics = false;
 };
 
-/// Monotonic counters describing a server's life so far. stats() may be
-/// called from any thread at any time (it is serialized against
-/// start()/stop() internally); while the server runs the counters are a
-/// racy-but-coherent snapshot, exact once stop() returned.
-struct ServerStats {
-  std::uint64_t frames_collected = 0;
-  std::uint64_t clients_accepted = 0;
-  std::uint64_t clients_closed = 0;
-  /// Subscribers closed by ack-deadline eviction (a subset of
-  /// clients_closed). See ServerOptions::ack_deadline_ticks.
-  std::uint64_t clients_evicted_idle = 0;
-  /// GAUGE (not monotonic): encoded frames currently handed to
-  /// subscribers and not yet fully written — each pins its tick's
-  /// shared-encode refcount. Drains to zero when every peer is caught
-  /// up or evicted; the eviction proof watches exactly this.
-  std::uint64_t frames_in_flight = 0;
-  std::uint64_t full_frames_sent = 0;    // full encodes handed to clients
-  std::uint64_t delta_frames_sent = 0;   // shared tick/group deltas
-  std::uint64_t catchup_deltas_sent = 0; // per-client changed-since deltas
-  /// Frames of its group's stream a slow reader skipped: counted when it
-  /// takes a catch-up or a re-basing full instead of the group's shared
-  /// delta. A filtered group's suppressed quiet tick is no frame.
-  std::uint64_t frames_coalesced = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t acks_received = 0;
+/// A server's counters so far, plus two figures read from its
+/// workers. stats() may be called from any thread at any time (it is
+/// serialized against start()/stop() internally); while the server runs
+/// the counters are a racy-but-coherent snapshot, exact once stop()
+/// returned.
+///
+/// The inherited fields are a copy of the block the server counts each
+/// event into once (obs::ServerCountersT), the same block its
+/// `__sys/server.*` rows read. A server without self_metrics owns its
+/// block. With self_metrics the block belongs to the registry: the
+/// first server armed over it creates the block, and every later server
+/// over that registry counts into the same one — its stats continue the
+/// registry's `__sys/` totals rather than starting from zero.
+struct ServerStats : obs::ServerCountersT<std::uint64_t> {
   std::uint64_t min_acked_seq = 0;  // slowest subscriber's acked frame
-  // Wire v2 control channel + filter groups.
-  std::uint64_t subscribes_received = 0;
-  std::uint64_t resyncs_received = 0;
-  /// Full-frame encodes of the pass-all group actually performed. Lazy:
-  /// zero on a tick nobody needs a full, and at most one per tick
-  /// however many subscribers (and the shm ring) take it.
-  std::uint64_t unfiltered_full_encodes = 0;
-  /// Distinct encodes of the other (filtered) groups actually
-  /// performed; the pass-all group's count in neither. The sharing pins:
-  /// K identically-filtered in-step subscribers over T ticks cost ~T
-  /// delta encodes (not K·T) and ≤ a handful of full encodes.
-  std::uint64_t filtered_full_encodes = 0;
-  std::uint64_t filtered_delta_encodes = 0;
-  /// Group-ticks on which a filter group's subset was unchanged and no
-  /// frame was shipped to it (not coalescing — there was nothing to
-  /// say; a heartbeat bounds the silence).
-  std::uint64_t group_deltas_suppressed = 0;
-  // Shared-memory ring transport (wire v3).
-  std::uint64_t shm_requests_received = 0;
-  std::uint64_t shm_offers_sent = 0;
-  std::uint64_t shm_accepts_received = 0;  // clients moved off TCP data
-  std::uint64_t shm_frames_published = 0;  // ring writes by the collector
-  /// Frames that did not fit a ring slot; any > 0 means the ring broke
-  /// and shm clients were demoted back to TCP.
-  std::uint64_t shm_publish_failures = 0;
-  /// CPU time (CLOCK_THREAD_CPUTIME_ID, ns) burned by the collector
-  /// thread / summed over the I/O workers so far. The shm scaling
-  /// evidence: per-subscriber work lives in io_cpu_ns, and a ring
-  /// consumer adds none (E19 pins server CPU flat in shm-swarm size).
-  std::uint64_t collector_cpu_ns = 0;
+  /// CPU time (CLOCK_THREAD_CPUTIME_ID, ns) summed over the I/O workers
+  /// so far. With collector_cpu_ns, the shm scaling evidence:
+  /// per-subscriber work lives here, and a ring consumer adds none (E19
+  /// pins server CPU flat in shm-swarm size).
   std::uint64_t io_cpu_ns = 0;
 };
 

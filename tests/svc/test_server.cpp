@@ -13,12 +13,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/backend.hpp"
@@ -1813,6 +1815,166 @@ TEST(SnapshotServer, PassAllStreamKeepsPerTickCadenceAndOneEncode) {
   EXPECT_EQ(stats.filtered_delta_encodes, 0u);
   EXPECT_EQ(stats.filtered_full_encodes, 0u);
   server.stop();
+}
+
+
+/// The scalar `__sys/server.*` rows the registry serves (the histograms
+/// and the top-k directory left out), by name.
+std::map<std::string, shard::Sample> sys_server_rows(
+    const shard::RegistryT<base::DirectBackend>& registry) {
+  std::vector<shard::Sample> samples;
+  (void)registry.snapshot_all_into(0, samples, 0);
+  std::map<std::string, shard::Sample> rows;
+  for (shard::Sample& sample : samples) {
+    if (sample.name.starts_with("__sys/server.") &&
+        sample.model != ErrorModel::kHistogram &&
+        sample.model != ErrorModel::kTopK) {
+      rows.emplace(sample.name, std::move(sample));
+    }
+  }
+  return rows;
+}
+
+/// Every scalar `__sys/server.*` row reads exactly its ServerStats
+/// field, as an exact entry: one row per counter, none left over.
+void expect_rows_equal_stats(
+    const shard::RegistryT<base::DirectBackend>& registry,
+    const ServerStats& stats) {
+  const std::pair<std::string, std::uint64_t> expected[] = {
+      {"__sys/server.frames_collected", stats.frames_collected},
+      {"__sys/server.clients_accepted", stats.clients_accepted},
+      {"__sys/server.clients_closed", stats.clients_closed},
+      {"__sys/server.clients_evicted", stats.clients_evicted_idle},
+      {"__sys/server.frames_in_flight", stats.frames_in_flight},
+      {"__sys/server.full_frames_sent", stats.full_frames_sent},
+      {"__sys/server.delta_frames_sent", stats.delta_frames_sent},
+      {"__sys/server.catchup_deltas_sent", stats.catchup_deltas_sent},
+      {"__sys/server.frames_coalesced", stats.frames_coalesced},
+      {"__sys/server.bytes_sent", stats.bytes_sent},
+      {"__sys/server.acks_received", stats.acks_received},
+      {"__sys/server.subscribes_received", stats.subscribes_received},
+      {"__sys/server.resyncs_received", stats.resyncs_received},
+      {"__sys/server.unfiltered_full_encodes", stats.unfiltered_full_encodes},
+      {"__sys/server.filtered_full_encodes", stats.filtered_full_encodes},
+      {"__sys/server.filtered_delta_encodes", stats.filtered_delta_encodes},
+      {"__sys/server.group_deltas_suppressed", stats.group_deltas_suppressed},
+      {"__sys/server.shm_requests_received", stats.shm_requests_received},
+      {"__sys/server.shm_offers_sent", stats.shm_offers_sent},
+      {"__sys/server.shm_accepts_received", stats.shm_accepts_received},
+      {"__sys/server.shm_frames_published", stats.shm_frames_published},
+      {"__sys/server.shm_publish_failures", stats.shm_publish_failures},
+      {"__sys/server.collector_cpu_ns", stats.collector_cpu_ns},
+      {"__sys/server.ticks_overrun", stats.ticks_overrun},
+  };
+  const std::map<std::string, shard::Sample> rows = sys_server_rows(registry);
+  EXPECT_EQ(rows.size(), std::size(expected));
+  for (const auto& [name, value] : expected) {
+    const auto it = rows.find(name);
+    if (it == rows.end()) {
+      ADD_FAILURE() << "no row " << name;
+      continue;
+    }
+    EXPECT_EQ(it->second.value, value) << name;
+    EXPECT_EQ(it->second.model, ErrorModel::kExact) << name;
+    EXPECT_EQ(it->second.error_bound, 0u) << name;
+  }
+}
+
+TEST(SnapshotServer, SysRowsReadTheCountersBehindServerStats) {
+  // Each server event is counted once: every scalar `__sys/server.*`
+  // row is an exact view of the counter its ServerStats field copies,
+  // so once stop() returned the two agree to the unit — no k-additive
+  // undercount, no gauge a tick behind. The client subscribes to the
+  // rows, RESYNCs and acks, so the control counters move too.
+  shard::RegistryT<base::DirectBackend> registry(4);
+  registry.create("app.hits", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.self_metrics = true;
+  SnapshotServer server(registry, 3, options);
+  ASSERT_TRUE(server.start());
+
+  TelemetryClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  SubscriptionFilter filter;
+  filter.prefixes = {"__sys/server."};
+  ASSERT_TRUE(client.subscribe(filter));
+  bool rebased = false;
+  for (int i = 0; i < 400 && !rebased; ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    rebased = !client.view().rebase_pending();
+  }
+  ASSERT_TRUE(rebased);
+  const std::uint64_t fulls = client.view().full_frames();
+  ASSERT_TRUE(client.request_resync());
+  for (int i = 0; i < 400 && client.view().full_frames() == fulls; ++i) {
+    ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  }
+  EXPECT_GT(client.view().full_frames(), fulls);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+  // The subscriber holds the subset, and the rows reach it as exact
+  // entries too.
+  std::size_t exact_rows = 0;
+  for (const shard::Sample& sample : client.view().samples()) {
+    EXPECT_TRUE(sample.name.starts_with("__sys/server.")) << sample.name;
+    if (sample.model == ErrorModel::kHistogram ||
+        sample.model == ErrorModel::kTopK) {
+      continue;
+    }
+    EXPECT_EQ(sample.model, ErrorModel::kExact) << sample.name;
+    EXPECT_EQ(sample.error_bound, 0u) << sample.name;
+    ++exact_rows;
+  }
+  EXPECT_EQ(exact_rows, 24u);
+  server.stop();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.clients_accepted, 1u);
+  EXPECT_EQ(stats.subscribes_received, 1u);
+  EXPECT_EQ(stats.resyncs_received, 1u);
+  EXPECT_GT(stats.acks_received, 0u);
+  EXPECT_GE(stats.filtered_full_encodes, 2u);
+  expect_rows_equal_stats(registry, stats);
+}
+
+TEST(SnapshotServer, SysRowsOutliveTheirServerAndTheNextServerCountsOn) {
+  // The rows hold the counter block, not the server: once the server
+  // is destroyed, the registry still serves its final counts (a row
+  // left pointing into the dead server would be a use-after-free under
+  // ASan). A second server over the same registry counts into the same
+  // block, the registry's `__sys/` totals, and its stats are those
+  // totals: they do not restart at zero.
+  shard::RegistryT<base::DirectBackend> registry(4);
+  registry.create("app.hits", {ErrorModel::kExact, 0, 1});
+  ServerOptions options;
+  options.period = 5ms;
+  options.self_metrics = true;
+  const auto serve_one_client = [&](SnapshotServer& server) {
+    ASSERT_TRUE(server.start());
+    TelemetryClient client;
+    ASSERT_TRUE(client.connect(server.port()));
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.poll_frame(kFrameTimeout));
+    server.stop();
+  };
+
+  ServerStats first_stats;
+  {
+    SnapshotServer first(registry, 3, options);
+    serve_one_client(first);
+    first_stats = first.stats();
+  }
+  EXPECT_EQ(first_stats.clients_accepted, 1u);
+  expect_rows_equal_stats(registry, first_stats);
+
+  SnapshotServer second(registry, 3, options);
+  serve_one_client(second);
+  const ServerStats second_stats = second.stats();
+  EXPECT_EQ(second_stats.clients_accepted, 2u);
+  EXPECT_GT(second_stats.frames_collected, first_stats.frames_collected);
+  EXPECT_GE(second_stats.collector_cpu_ns, first_stats.collector_cpu_ns);
+  EXPECT_GT(second_stats.unfiltered_full_encodes,
+            first_stats.unfiltered_full_encodes);
+  expect_rows_equal_stats(registry, second_stats);
 }
 
 }  // namespace

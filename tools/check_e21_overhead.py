@@ -4,11 +4,12 @@
 Reads e21_self_obs --json output and fails (exit 1) if the
 self_metrics-ON tick costs more than --threshold (default 1.05) times
 the OFF tick — the acceptance bar for the "__sys/" layer: 3 histogram
-records, 6 relaxed gauge stores and one thread-CPU clock read per tick,
-plus 23 extra registry entries in the collect pass, must amortize to
-noise against a 1024-entry collect. A ratio past the bar means the
-instrument started perturbing the experiment (a lock on the tick path,
-a per-tick allocation, an accidental page render per tick).
+records per tick, plus 29 extra registry entries in the collect pass
+(24 of them exact views of the counters the server keeps either way),
+must amortize to noise against a 1024-entry collect. A ratio past the
+bar means the instrument started perturbing the experiment (a lock on
+the tick path, a per-tick allocation, an accidental page render per
+tick).
 
 The bench already defends the measurement itself: collector CPU (not
 wall clock), medians over interleaved A/B repetitions so a noisy CI
