@@ -367,18 +367,18 @@ ServerInstruments install_self_metrics(shard::RegistryT<Backend>& registry,
   const unsigned wpids = 1 + (io_threads < 1 ? 1 : io_threads);
   ServerInstruments out;
 
+  // Reserved names are only ever populated by this installer, so the
+  // concrete types are known; a kind collision yields nullptr instead.
+  const auto fresh = std::make_shared<ServerCounters>();
   [[maybe_unused]] bool rows_complete = true;
   for (const auto& row : kServerCounterRows<std::atomic<std::uint64_t>>) {
-    shard::AnyCounter* entry =
+    const auto* view = dynamic_cast<detail::CounterView*>(
         registry.add_counter_reserved(std::string(row.name), [&] {
-          if (!out.counters) out.counters = std::make_shared<ServerCounters>();
-          return std::make_unique<detail::CounterView>(out.counters,
-                                                       row.field);
-        });
-    // Reserved names are only ever populated by this installer, so the
-    // concrete type is known; a kind collision yields nullptr instead.
-    const auto* view = dynamic_cast<detail::CounterView*>(entry);
+          return std::make_unique<detail::CounterView>(
+              out.counters ? out.counters : fresh, row.field);
+        }));
     rows_complete = rows_complete && view != nullptr;
+    // The first row decides the block: an earlier install's, or `fresh`.
     if (view != nullptr && !out.counters) out.counters = view->counters();
   }
   const auto hist = [&](const char* name) -> SysHist* {
